@@ -36,7 +36,6 @@ class RunConfig:
     series_n: int = 5000
     fmt: str = "json"
     out: str | None = None
-    jobs: int = 1
     verbose: bool = False
 
     def validate(self) -> None:
@@ -44,8 +43,6 @@ class RunConfig:
             raise ValueError("all tolerances must be positive")
         if self.series_n < 100:
             raise ValueError("series truncation must be at least 100")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
         if self.fmt not in ("json", "csv"):
             raise ValueError("format must be json or csv")
 
@@ -109,16 +106,12 @@ def _build_config(args) -> RunConfig:
         cfg.dedup_tol = float(file_values["dedup-tol"])
     if "n" in file_values:
         cfg.series_n = int(file_values["n"])
-    if "jobs" in file_values:
-        cfg.jobs = int(file_values["jobs"])
     if args.format is not None:
         cfg.fmt = args.format
     if args.tol is not None:
         cfg.zero_tol = args.tol
     if getattr(args, "common_tol", None) is not None:
         cfg.common_tol = args.common_tol
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
     if args.out is not None:
         cfg.out = args.out
     cfg.verbose = bool(args.verbose)
@@ -131,7 +124,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write output to PATH instead of stdout")
     parser.add_argument("--tol", type=float, default=None, help="zero-residual tolerance")
     parser.add_argument("--common-tol", type=float, default=None, dest="common_tol")
-    parser.add_argument("--jobs", type=int, default=None, help="max internal parallelism")
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--verbose", action="store_true")
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import lommel as _lommel
 from . import special as _special
@@ -119,7 +118,13 @@ def solve_nu_star(
     alpha: float = 0.0,
     residual_tol: float = 1e-8,
 ) -> NuStarSolution:
-    """Refine the order nu* in [nu_lo, nu_hi] where rho_{m-1,nu,l} = base zero k."""
+    """Refine the order nu* in [nu_lo, nu_hi] where rho_{m-1,nu,l} = base zero k.
+
+    `scipy.optimize` is imported on first use, so the first solve in a
+    process pays that import.
+    """
+    from scipy.optimize import brentq
+
     if m < 3:
         raise DomainError("common zeros require m >= 3")
     nu_floor = 0.0 if alpha != 0.0 else -1.0

@@ -137,6 +137,38 @@ def assoc_prime(m: int, nu: float, x):
     return 0.5 * (lommel_prime(m, nu, x) - lommel_prime(m - 2, nu + 2.0, x))
 
 
+def _pow(h: float, e: int) -> float:
+    """h ** e by libm `pow`; an overflow gives inf, as in numpy, not an error."""
+    try:
+        return h**e
+    except OverflowError:
+        return math.inf
+
+
+def _scalar_kernel(coeffs, m: int, derivative: bool = False):
+    """Python-float twin of `_poly_eval` (or `_poly_prime`) for one abscissa.
+
+    Bit-identical to the array kernel on scalars: `x / 2.0` on a 0-d array
+    yields an np.float64 whose `**` is libm `pow`, and Python's float `**` is
+    the same `pow`.  Writing `h * h`, or evaluating through numpy arrays (whose
+    power loop may use a SIMD `pow`), changes the last bits.
+    """
+    if derivative:
+        coeffs = [c * (2 * k - m) for k, c in enumerate(coeffs)]
+    rev = coeffs[::-1]
+
+    def kernel(x):
+        h = x / 2.0
+        u = _pow(h, 2)
+        acc = 0.0
+        for c in rev:
+            acc = acc * u + c
+        out = acc * _pow(h, -m)
+        return out / x if derivative else out
+
+    return kernel
+
+
 def root_positions(n: int, lam: float, kind: PolyKind = PolyKind.PLAIN) -> np.ndarray:
     """Positive roots of R_{n,lam+1} (plain) or R*_{n,lam} (associated), ascending.
 
@@ -144,23 +176,28 @@ def root_positions(n: int, lam: float, kind: PolyKind = PolyKind.PLAIN) -> np.nd
     polynomial sum c_k u^k, u = (x/2)^2, and accepted only when a sign change
     is confirmed in a small bracket around the candidate; each accepted root
     is then refined by bisection plus a Newton polish on the original
-    function.
+    function, both evaluated by `_scalar_kernel`.  That kernel squares with
+    `**` (libm `pow`), not `h * h`, so that its values equal those of the
+    array kernels `_poly_eval`/`_poly_prime` bit for bit.
+
+    The bisection runs at most 80 steps, but each step is a deterministic map
+    of (a, b, fa, fb) with fa = f(a) and fb = f(b).  Once the midpoint rounds
+    to an end point and the step would leave the state as it is, every later
+    step is a no-op too, so the loop stops there with the same result.
     """
     if kind is PolyKind.PLAIN:
         if lam <= -1.0:
             raise ValueError("plain Lommel roots require lam > -1")
         coeffs = _plain_coeffs(n, lam + 1.0)
-        f = lambda x: _poly_eval(coeffs, n, x)
-        fp = lambda x: _poly_prime(coeffs, n, x)
     else:
         if lam <= 0.0:
             raise ValueError("associated Lommel roots require lam > 0")
         coeffs = _assoc_coeffs(n, lam)
-        f = lambda x: _poly_eval(coeffs, n, x)
-        fp = lambda x: _poly_prime(coeffs, n, x)
 
     if len(coeffs) < 2:
         return np.empty(0)
+    f = _scalar_kernel(coeffs, n)
+    fp = _scalar_kernel(coeffs, n, derivative=True)
     candidates = np.polynomial.Polynomial(coeffs).roots()
     roots = []
     for u in candidates:
@@ -180,6 +217,10 @@ def root_positions(n: int, lam: float, kind: PolyKind = PolyKind.PLAIN) -> np.nd
             continue
         for _ in range(80):
             mid = 0.5 * (a + b)
+            if mid == b and (fa * fb <= 0.0 or a == b):
+                break
+            if mid == a and (not fa * fa <= 0.0 or a == b):
+                break
             fm = f(mid)
             if fa * fm <= 0.0:
                 b, fb = mid, fm

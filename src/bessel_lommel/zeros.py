@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import lommel as _lommel
 from . import special as _special
@@ -59,7 +58,15 @@ class OrderDerivative:
 
 
 def _scan_brackets(f, x0: float, count: int, step: float, x_limit: float):
-    """Bracket the first `count` sign changes of f on (x0, x_limit]."""
+    """Bracket the first `count` sign changes of f on (x0, x_limit].
+
+    The scan marches in batches over the grid x + step * (1..256).  Within a
+    batch it evaluates only a prefix of that grid: first 2 * remaining + 8
+    points, then a slice twice as long each time, until the batch is used up
+    or enough sign changes are found; the next batch restarts at the batch's
+    last grid point.  The grid, and so every bracket, is the same as a scan
+    of whole batches would give, because the evaluators act elementwise.
+    """
     brackets = []
     x = x0
     fx = float(f(np.asarray([x]))[0])
@@ -70,19 +77,23 @@ def _scan_brackets(f, x0: float, count: int, step: float, x_limit: float):
                 f"found only {len(brackets)}/{count} sign changes scanning up to x={x:.6g}"
             )
         grid = x + step * np.arange(1, batch + 1)
-        vals = np.asarray(f(grid), dtype=float)
-        seq = np.concatenate(([fx], vals))
-        bad = ~np.isfinite(seq)
-        if bad.any():
-            raise ConvergenceError(f"non-finite function value near x={x:.6g}")
-        flips = np.nonzero((seq[:-1] == 0.0) | (np.sign(seq[:-1]) != np.sign(seq[1:])))[0]
-        for i in flips:
-            a = x + step * i
-            brackets.append((a, a + step))
-            if len(brackets) == count:
-                break
+        done = 0
+        width = 2 * (count - len(brackets)) + 8
+        while done < batch and len(brackets) < count:
+            vals = np.asarray(f(grid[done : done + width]), dtype=float)
+            seq = np.concatenate(([fx], vals))
+            if not np.isfinite(seq).all():
+                raise ConvergenceError(f"non-finite function value near x={x:.6g}")
+            flips = np.nonzero((seq[:-1] == 0.0) | (np.sign(seq[:-1]) != np.sign(seq[1:])))[0]
+            for i in flips:
+                a = x + step * (done + i)
+                brackets.append((a, a + step))
+                if len(brackets) == count:
+                    break
+            done += vals.size
+            fx = float(vals[-1])
+            width *= 2
         x = float(grid[-1])
-        fx = float(vals[-1])
     return brackets
 
 
@@ -219,7 +230,13 @@ def _jzero(nu: float, k: int, tolerance: float = 1e-12) -> float:
 
 
 def watson_derivative(nu: float, c: float) -> float:
-    """dc/dnu for a cylinder-function zero c, by the K_0 integral."""
+    """dc/dnu for a cylinder-function zero c, by the K_0 integral.
+
+    `scipy.integrate` is imported on first use, so the first call in a
+    process (and so the first `dj_dnu`) pays that import.
+    """
+    from scipy.integrate import quad
+
     u_split = 1.0 / (2.0 * c)
     u_max = 30.0 / c
     g = lambda u: _special.watson_integrand(u, c, nu)

@@ -1,11 +1,19 @@
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from bessel_lommel.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "perfbench" / "golden"
+
+# golden files of the README quick-start commands, in README order
+GOLDEN_NAMES = ("zeros", "lommel", "interlace", "bracket", "scan", "wronskian", "trajectory", "eta")
 
 
 def run_cli(capsys, *args: str):
@@ -176,14 +184,6 @@ def test_plain_value_error_exits_2(capsys):
     assert "invalid input" in err
 
 
-def test_invalid_jobs_exits_2(capsys):
-    code, _, err = run_cli(
-        capsys, "zeros", "--kind", "j", "--nu", "0", "--count", "1", "--jobs", "0"
-    )
-    assert code == 2
-    assert "configuration error" in err
-
-
 def test_domain_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "zeros", "--kind", "j", "--nu", "-2", "--count", "3")
     assert code == 2
@@ -197,3 +197,31 @@ def test_float_formatting_15_digits(capsys):
     assert code == 0
     zero_text = out.strip().splitlines()[1].split(",")[1]
     assert len(zero_text.replace(".", "").replace("-", "").lstrip("0")) <= 16
+
+
+def test_readme_commands_match_golden_output(capsys):
+    prefix = "bessel-lommel "
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = readme.splitlines()
+    commands = [line[len(prefix) :].split() for line in lines if line.startswith(prefix)]
+    assert len(commands) == len(GOLDEN_NAMES)
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    for name, argv in zip(GOLDEN_NAMES, commands):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == codes[name], name
+        assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes(), name
+
+
+def test_import_leaves_optimize_and_integrate_unloaded():
+    # brentq and quad are imported on first use, so a cold CLI call that
+    # needs neither does not pay for scipy.optimize or scipy.integrate
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    probe = (
+        "import sys, bessel_lommel; "
+        "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
