@@ -6,7 +6,6 @@ from .special import (
     EvalResult,
     FunctionId,
     Kind,
-    Method,
     bessel_j,
     bessel_j_prime,
     bessel_j_scaled,
@@ -61,7 +60,6 @@ from .continuation import (
     IndexCrossingError,
     NuStarSolution,
     Trajectory,
-    cylinder_nu_star,
     find_in_bracket,
     rational_order_margin,
     scan_nu_star,

@@ -93,28 +93,34 @@ def _load_config(path: str) -> dict:
     return out
 
 
+# config-file key -> (RunConfig field, parser); every subcommand accepts every
+# key, so that one file can serve several subcommands
+_CONFIG_KEYS = {
+    "format": ("fmt", str),
+    "tol": ("zero_tol", float),
+    "common-tol": ("common_tol", float),
+    "dedup-tol": ("dedup_tol", float),
+    "n": ("series_n", int),
+}
+
+
 def _build_config(args) -> RunConfig:
     cfg = RunConfig()
     file_values = _load_config(args.config) if args.config else {}
-    if "format" in file_values:
-        cfg.fmt = file_values["format"]
-    if "tol" in file_values:
-        cfg.zero_tol = float(file_values["tol"])
-    if "common-tol" in file_values:
-        cfg.common_tol = float(file_values["common-tol"])
-    if "dedup-tol" in file_values:
-        cfg.dedup_tol = float(file_values["dedup-tol"])
-    if "n" in file_values:
-        cfg.series_n = int(file_values["n"])
+    for key, value in file_values.items():
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}; known keys: {', '.join(_CONFIG_KEYS)}")
+        field, parse = _CONFIG_KEYS[key]
+        setattr(cfg, field, parse(value))
     if args.format is not None:
         cfg.fmt = args.format
-    if args.tol is not None:
+    if getattr(args, "tol", None) is not None:
         cfg.zero_tol = args.tol
     if getattr(args, "common_tol", None) is not None:
         cfg.common_tol = args.common_tol
     if args.out is not None:
         cfg.out = args.out
-    cfg.verbose = bool(args.verbose)
+    cfg.verbose = getattr(args, "verbose", False)
     cfg.validate()
     return cfg
 
@@ -122,10 +128,7 @@ def _build_config(args) -> RunConfig:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default=None)
     parser.add_argument("--out", default=None, help="write output to PATH instead of stdout")
-    parser.add_argument("--tol", type=float, default=None, help="zero-residual tolerance")
-    parser.add_argument("--common-tol", type=float, default=None, dest="common_tol")
     parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--verbose", action="store_true")
 
 
 def _cmd_zeros(args, cfg: RunConfig) -> int:
@@ -307,6 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--count", type=int, required=True)
+    p.add_argument("--tol", type=float, default=None, help="zero-residual tolerance")
     _add_common(p)
     p.set_defaults(func=_cmd_zeros)
 
@@ -324,6 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--k", type=int, required=True, help="number of base zeros to check")
     p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--common-tol", type=float, default=None, dest="common_tol")
+    p.add_argument("--verbose", action="store_true", help="list every violation")
     _add_common(p)
     p.set_defaults(func=_cmd_interlace)
 

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lommel as _lommel
 from . import special as _special
-from .special import DomainError, FunctionId, Kind
+from .interlace import Family, Pair
+from .special import DomainError
 from .zeros import zeros
 
 
@@ -37,6 +37,8 @@ class IndexCrossingError(RuntimeError):
 
 
 _SLOPE_BOUND = 5.0
+# lowest order of a scan, just above the family's domain floor
+_SCAN_FLOOR = {Family.BESSEL_J: -1.0 + 1.0 / 16.0, Family.CYLINDER: 1e-3}
 
 
 @dataclass(frozen=True)
@@ -79,25 +81,23 @@ class TraceResult:
     crossings: tuple
 
 
-def _base_zero(nu: float, k: int, alpha: float) -> float:
-    if alpha == 0.0:
-        fid = FunctionId(Kind.BESSEL_J, nu)
-    else:
-        fid = FunctionId(Kind.CYLINDER, nu, alpha=alpha)
-    return zeros(fid, k).zeros[k - 1]
+def _family(alpha: float) -> Family:
+    """J_nu at alpha = 0, else C_nu with angle alpha."""
+    return Family.BESSEL_J if alpha == 0.0 else Family.CYLINDER
 
 
-def _rho(m: int, nu: float, l: int) -> float:
-    roots = _lommel.root_positions(m - 1, nu, _lommel.PolyKind.PLAIN)
-    if len(roots) < l:
-        raise DomainError(
-            f"R_{{{m-1},nu+1}} has only {len(roots)} positive roots at nu={nu:.6g}; l={l}"
-        )
-    return float(roots[l - 1])
+def _pair(m: int, nu: float, alpha: float) -> Pair:
+    return Pair(_family(alpha), m, nu, alpha)
 
 
 def _distance(m: int, l: int, k: int, nu: float, alpha: float) -> float:
-    return _rho(m, nu, l) - _base_zero(nu, k, alpha)
+    """rho_{m-1,nu,l} - (k-th base zero)."""
+    pair = _pair(m, nu, alpha)
+    if len(pair.roots) < l:
+        raise DomainError(
+            f"R_{{{m-1},nu+1}} has only {len(pair.roots)} positive roots at nu={nu:.6g}; l={l}"
+        )
+    return float(pair.roots[l - 1]) - zeros(pair.base, k).zeros[k - 1]
 
 
 def _guard_continuity(values, step: float) -> None:
@@ -127,9 +127,9 @@ def solve_nu_star(
 
     if m < 3:
         raise DomainError("common zeros require m >= 3")
-    nu_floor = 0.0 if alpha != 0.0 else -1.0
-    if nu_lo <= nu_floor or nu_hi <= nu_lo:
-        raise DomainError("bracket must satisfy nu_floor < nu_lo < nu_hi")
+    _pair(m, nu_lo, alpha)  # checks the family's domain
+    if nu_hi <= nu_lo:
+        raise DomainError("bracket must satisfy nu_lo < nu_hi")
 
     grid = np.linspace(nu_lo, nu_hi, 9)
     dvals = [_distance(m, l, k, float(nu), alpha) for nu in grid]
@@ -143,13 +143,10 @@ def solve_nu_star(
     nu_star = brentq(
         lambda nu: _distance(m, l, k, nu, alpha), nu_lo, nu_hi, xtol=1e-12, rtol=8.9e-16
     )
-    x_star = _base_zero(nu_star, k, alpha)
-    if alpha == 0.0:
-        res_lo = abs(float(_special.jv(nu_star, x_star)))
-        res_hi = abs(float(_special.jv(nu_star + m, x_star)))
-    else:
-        res_lo = abs(float(_special.cyl(alpha, nu_star, x_star)))
-        res_hi = abs(float(_special.cyl(alpha, nu_star + m, x_star)))
+    pair = _pair(m, nu_star, alpha)
+    x_star = zeros(pair.base, k).zeros[k - 1]
+    res_lo = abs(float(_special.value_fn(pair.base)(x_star)))
+    res_hi = abs(float(_special.value_fn(pair.shifted)(x_star)))
     if res_lo > residual_tol or res_hi > residual_tol:
         raise BracketError(
             f"solved nu*={nu_star:.12g} violates the residual contract: "
@@ -174,19 +171,13 @@ def find_in_bracket(
     if m < 3:
         raise DomainError("common zeros require m >= 3")
     sols = []
-    n_roots = (m - 1) // 2
-    roots_lo = _lommel.root_positions(m - 1, nu_lo, _lommel.PolyKind.PLAIN)
-    roots_hi = _lommel.root_positions(m - 1, nu_hi, _lommel.PolyKind.PLAIN)
-    if alpha == 0.0:
-        z_lo = zeros(FunctionId(Kind.BESSEL_J, nu_lo), k_search).as_array()
-        z_hi = zeros(FunctionId(Kind.BESSEL_J, nu_hi), k_search).as_array()
-    else:
-        z_lo = zeros(FunctionId(Kind.CYLINDER, nu_lo, alpha=alpha), k_search).as_array()
-        z_hi = zeros(FunctionId(Kind.CYLINDER, nu_hi, alpha=alpha), k_search).as_array()
-    for l in range(1, n_roots + 1):
+    lo, hi = _pair(m, nu_lo, alpha), _pair(m, nu_hi, alpha)
+    z_lo = zeros(lo.base, k_search).as_array()
+    z_hi = zeros(hi.base, k_search).as_array()
+    for l in range(1, lo.max_common + 1):
         for k in range(1, k_search + 1):
-            d_lo = roots_lo[l - 1] - z_lo[k - 1]
-            d_hi = roots_hi[l - 1] - z_hi[k - 1]
+            d_lo = lo.roots[l - 1] - z_lo[k - 1]
+            d_hi = hi.roots[l - 1] - z_hi[k - 1]
             if d_lo == 0.0 or d_lo * d_hi < 0.0:
                 sols.append(solve_nu_star(m, l, k, nu_lo, nu_hi, alpha))
     sols.sort(key=lambda s: s.nu_star)
@@ -206,25 +197,21 @@ def scan_nu_star(
         raise DomainError("common zeros require m >= 3")
     if k_max < 1:
         return []
-    nu_floor = 1e-3 if alpha != 0.0 else (-1.0 + 1.0 / 16.0)
+    nu_floor = _SCAN_FLOOR[_family(alpha)]
     lo = nu_floor if nu_min is None else max(nu_min, nu_floor)
     if nu_max <= lo:
         return []
-    n_roots = (m - 1) // 2
 
     grid = [lo]
     while grid[-1] < nu_max:
         grid.append(min(grid[-1] + step, nu_max))
+    pairs = [_pair(m, nu, alpha) for nu in grid]
+    n_roots = pairs[0].max_common
     rho_arr = np.full((len(grid), n_roots), np.nan)
     z_arr = np.full((len(grid), k_max), np.nan)
-    for i, nu in enumerate(grid):
-        r = _lommel.root_positions(m - 1, nu, _lommel.PolyKind.PLAIN)
-        rho_arr[i, : len(r)] = r[:n_roots]
-        if alpha == 0.0:
-            fid = FunctionId(Kind.BESSEL_J, nu)
-        else:
-            fid = FunctionId(Kind.CYLINDER, nu, alpha=alpha)
-        z_arr[i, :] = zeros(fid, k_max).as_array()
+    for i, pair in enumerate(pairs):
+        rho_arr[i, : len(pair.roots)] = pair.roots[:n_roots]
+        z_arr[i, :] = zeros(pair.base, k_max).as_array()
 
     sols = []
     for l in range(n_roots):
@@ -251,33 +238,26 @@ def trace_trajectories(
 ) -> TraceResult:
     """Zero and root trajectories in the (nu, x)-plane, with crossings annotated."""
     lo, hi = nu_range
-    nu_floor = 0.0 if alpha != 0.0 else -1.0
-    if lo <= nu_floor:
-        raise DomainError("nu range must stay above the family floor")
     nus = [lo]
     while nus[-1] + step <= hi + 1e-12:
         nus.append(nus[-1] + step)
+    pairs = [_pair(m, nu, alpha) for nu in nus]
 
-    n_roots = min(l_max, (m - 1) // 2)
+    n_roots = min(l_max, pairs[0].max_common)
     base_curves = [[] for _ in range(k_max)]
     high_curves = [[] for _ in range(k_max)]
     rho_curves = [[] for _ in range(n_roots)]
-    for nu in nus:
-        if alpha == 0.0:
-            base = zeros(FunctionId(Kind.BESSEL_J, nu), k_max).as_array()
-            high = zeros(FunctionId(Kind.BESSEL_J, nu + m), k_max).as_array()
-        else:
-            base = zeros(FunctionId(Kind.CYLINDER, nu, alpha=alpha), k_max).as_array()
-            high = zeros(FunctionId(Kind.CYLINDER, nu + m, alpha=alpha), k_max).as_array()
-        roots = _lommel.root_positions(m - 1, nu, _lommel.PolyKind.PLAIN)
+    for nu, pair in zip(nus, pairs):
+        base = zeros(pair.base, k_max).as_array()
+        high = zeros(pair.shifted, k_max).as_array()
         for k in range(k_max):
             base_curves[k].append((nu, float(base[k])))
             high_curves[k].append((nu, float(high[k])))
         for l in range(n_roots):
-            rho_curves[l].append((nu, float(roots[l])))
+            rho_curves[l].append((nu, float(pair.roots[l])))
 
     trajectories = []
-    base_tag = "c" if alpha != 0.0 else "j"
+    base_tag = pairs[0].family.value
     for k in range(k_max):
         xs = [x for _, x in base_curves[k]]
         _guard_continuity(xs, step)
@@ -304,13 +284,6 @@ def trace_trajectories(
     return TraceResult(tuple(trajectories), tuple(crossings))
 
 
-def cylinder_nu_star(
-    alpha: float, m: int, l: int, k: int, bracket: tuple
-) -> NuStarSolution:
-    """Common-zero order for the cylinder family C_nu^alpha; alpha = 0 is J_nu."""
-    return solve_nu_star(m, l, k, bracket[0], bracket[1], alpha=alpha)
-
-
 def rational_order_margin(m: int, nu: float, K: int = 20) -> float:
     """min_k |R_{m-1,nu+1}(j_{nu,k})| over the first K zeros of J_nu.
 
@@ -318,6 +291,7 @@ def rational_order_margin(m: int, nu: float, K: int = 20) -> float:
     zeros exist there); it collapses only near the irrational crossing
     orders nu*.
     """
-    zs = zeros(FunctionId(Kind.BESSEL_J, nu), K).as_array()
-    vals = np.abs(np.asarray([_lommel.lommel_eval(m - 1, nu + 1.0, z) for z in zs]))
+    pair = _pair(m, nu, 0.0)
+    zs = zeros(pair.base, K).as_array()
+    vals = np.abs(np.asarray([pair.poly(z) for z in zs]))
     return float(vals.min())

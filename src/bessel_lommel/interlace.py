@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,79 @@ class Family(enum.Enum):
     BESSEL_J = "j"
     CYLINDER = "c"
     DERIVATIVE = "jp"
+
+
+# --- the family triple ----------------------------------------------------------
+
+# per family: (lower bound on nu, excluded; least m)
+_DOMAIN = {Family.BESSEL_J: (-1.0, 1), Family.CYLINDER: (0.0, 1), Family.DERIVATIVE: (0.0, 0)}
+
+
+@dataclass(frozen=True)
+class Pair:
+    """A base function, its order-shifted partner and their compensating polynomial.
+
+        family   base     shifted     polynomial
+        j        J_nu     J_{nu+m}    R_{m-1,nu+1}
+        c        C_nu     C_{nu+m}    R_{m-1,nu+1}
+        jp       J'_nu    J_{nu+m}    R*_{m,nu}
+
+    The shifted function vanishes at a base zero exactly where the polynomial
+    does, so the common zeros are base zeros that are polynomial roots; there
+    are at most `max_common` of them.  Construction checks the family's
+    domain; `roots` are solved on first use and kept.  `alpha` is the
+    cylinder angle and is read by family c only.
+    """
+
+    family: Family
+    m: int
+    nu: float
+    alpha: float = 0.0
+
+    def __post_init__(self):
+        nu_floor, m_min = _DOMAIN[self.family]
+        if self.nu <= nu_floor:
+            raise DomainError(f"family '{self.family.value}' requires nu > {nu_floor:g}")
+        if self.m < m_min:
+            raise DomainError(f"family '{self.family.value}' requires m >= {m_min}")
+
+    @property
+    def base(self) -> FunctionId:
+        if self.family is Family.CYLINDER:
+            return FunctionId(Kind.CYLINDER, self.nu, alpha=self.alpha)
+        if self.family is Family.DERIVATIVE:
+            return FunctionId(Kind.BESSEL_J_PRIME, self.nu)
+        return FunctionId(Kind.BESSEL_J, self.nu)
+
+    @property
+    def shifted(self) -> FunctionId:
+        if self.family is Family.CYLINDER:
+            return FunctionId(Kind.CYLINDER, self.nu + self.m, alpha=self.alpha)
+        return FunctionId(Kind.BESSEL_J, self.nu + self.m)
+
+    @property
+    def max_common(self) -> int:
+        """Bound on the number of common zeros: half the polynomial's degree, rounded down."""
+        return self.m // 2 if self.family is Family.DERIVATIVE else (self.m - 1) // 2
+
+    def poly(self, x):
+        if self.family is Family.DERIVATIVE:
+            return _lommel.assoc_eval(self.m, self.nu, x)
+        return _lommel.lommel_eval(self.m - 1, self.nu + 1.0, x)
+
+    def poly_prime(self, x):
+        if self.family is Family.DERIVATIVE:
+            return _lommel.assoc_prime(self.m, self.nu, x)
+        return _lommel.lommel_prime(self.m - 1, self.nu + 1.0, x)
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """Positive roots of the polynomial, ascending; none when max_common is 0."""
+        if self.max_common < 1:
+            return np.empty(0)
+        if self.family is Family.DERIVATIVE:
+            return _lommel.root_positions(self.m, self.nu, _lommel.PolyKind.ASSOCIATED)
+        return _lommel.root_positions(self.m - 1, self.nu, _lommel.PolyKind.PLAIN)
 
 
 class Source(enum.Enum):
@@ -123,59 +197,27 @@ class PartialFractionResult:
     near_pole: bool = False
 
 
-# --- family plumbing ----------------------------------------------------------
-
-
-def _base_fid(family: Family, nu: float, alpha: float) -> FunctionId:
-    if family is Family.BESSEL_J:
-        return FunctionId(Kind.BESSEL_J, nu)
-    if family is Family.CYLINDER:
-        return FunctionId(Kind.CYLINDER, nu, alpha=alpha)
-    return FunctionId(Kind.BESSEL_J_PRIME, nu)
-
-
-def _high_fid(family: Family, m: int, nu: float, alpha: float) -> FunctionId:
-    if family is Family.CYLINDER:
-        return FunctionId(Kind.CYLINDER, nu + m, alpha=alpha)
-    return FunctionId(Kind.BESSEL_J, nu + m)
-
-
-def _poly_functions(family: Family, m: int, nu: float):
-    """(value, derivative, positive roots) of the compensating polynomial."""
-    if family is Family.DERIVATIVE:
-        val = lambda x: _lommel.assoc_eval(m, nu, x)
-        der = lambda x: _lommel.assoc_prime(m, nu, x)
-        roots = _lommel.root_positions(m, nu, _lommel.PolyKind.ASSOCIATED) if m >= 2 else np.empty(0)
-    else:
-        val = lambda x: _lommel.lommel_eval(m - 1, nu + 1.0, x)
-        der = lambda x: _lommel.lommel_prime(m - 1, nu + 1.0, x)
-        roots = _lommel.root_positions(m - 1, nu, _lommel.PolyKind.PLAIN) if m >= 3 else np.empty(0)
-    return val, der, roots
-
-
-def _check_family_domain(family: Family, m: int, nu: float) -> None:
-    if family is Family.BESSEL_J:
-        if nu <= -1.0:
-            raise DomainError("family 'j' requires nu > -1")
-        if m < 1:
-            raise DomainError("family 'j' requires m >= 1")
-    elif family is Family.CYLINDER:
-        if nu <= 0.0:
-            raise DomainError("family 'c' requires nu > 0")
-        if m < 1:
-            raise DomainError("family 'c' requires m >= 1")
-    else:
-        if nu <= 0.0:
-            raise DomainError("family 'jp' requires nu > 0")
-        if m < 0:
-            raise DomainError("family 'jp' requires m >= 0")
-
-
-def _max_common(family: Family, m: int) -> int:
-    return m // 2 if family is Family.DERIVATIVE else (m - 1) // 2
-
-
 # --- operations ----------------------------------------------------------------
+
+
+def _common_zeros(pair: Pair, base_zeros, tol: float) -> CommonZeroSet:
+    """`detect_common_zeros` over base zeros already found."""
+    hval = _special.value_fn(pair.shifted)
+    hder = _special.derivative_fn(pair.shifted)
+    bval = _special.value_fn(pair.base)
+
+    points = []
+    for x in base_zeros:
+        rp = abs(float(pair.poly(x))) / max(1.0, abs(float(pair.poly_prime(x))))
+        rh = abs(float(hval(x))) / max(1.0, abs(float(hder(x))))
+        if rp < tol and rh < tol:
+            points.append((x, abs(float(bval(x))), abs(float(hval(x)))))
+    if len(points) > pair.max_common:
+        raise RuntimeError(
+            f"detected {len(points)} common zeros but at most {pair.max_common} are possible; "
+            "the tolerance is too loose"
+        )
+    return CommonZeroSet(pair.family, pair.m, pair.nu, tuple(points), tol, pair.alpha)
 
 
 def detect_common_zeros(
@@ -192,49 +234,13 @@ def detect_common_zeros(
     higher-order function have scaled residual below `tol` at x; the scaled
     residual of g is |g(x)| / max(1, |g'(x)|).
     """
-    _check_family_domain(family, m, nu)
-    base = zeros(_base_fid(family, nu, alpha), K)
-    pval, pder, _ = _poly_functions(family, m, nu)
-    hfid = _high_fid(family, m, nu, alpha)
-    hval = _special.value_fn(hfid)
-    hder = _special.derivative_fn(hfid)
-    bval = _special.value_fn(_base_fid(family, nu, alpha))
-
-    points = []
-    for x in base.zeros:
-        rp = abs(float(pval(x))) / max(1.0, abs(float(pder(x))))
-        rh = abs(float(hval(x))) / max(1.0, abs(float(hder(x))))
-        if rp < tol and rh < tol:
-            points.append((x, abs(float(bval(x))), abs(float(hval(x)))))
-    bound = _max_common(family, m)
-    if len(points) > bound:
-        raise RuntimeError(
-            f"detected {len(points)} common zeros but at most {bound} are possible; "
-            "the tolerance is too loose"
-        )
-    return CommonZeroSet(family, m, nu, tuple(points), tol, alpha)
+    pair = Pair(family, m, nu, alpha)
+    return _common_zeros(pair, zeros(pair.base, K).zeros, tol)
 
 
-def merged_sequence(
-    family: Family,
-    m: int,
-    nu: float,
-    K: int,
-    dedup: float = 1e-7,
-    alpha: float = 0.0,
-) -> MergedZeros:
-    """Ascending merge of the higher-order zeros with the polynomial roots.
-
-    Entries closer than the relative dedup threshold collapse into a single
-    COMMON_ZERO entry; any near-coincidence within 100x the threshold is
-    reported as a warning instead of being silently resolved.
-    """
-    _check_family_domain(family, m, nu)
-    high = zeros(_high_fid(family, m, nu, alpha), K)
-    _, _, roots = _poly_functions(family, m, nu)
-
-    tagged = [(float(x), Source.HIGHER_ORDER_ZERO) for x in high.zeros]
-    tagged += [(float(r), Source.LOMMEL_ROOT) for r in roots]
+def _merged(pair: Pair, K: int, dedup: float) -> MergedZeros:
+    tagged = [(float(x), Source.HIGHER_ORDER_ZERO) for x in zeros(pair.shifted, K).zeros]
+    tagged += [(float(r), Source.LOMMEL_ROOT) for r in pair.roots]
     tagged.sort(key=lambda entry: entry[0])
 
     entries: list = []
@@ -253,18 +259,35 @@ def merged_sequence(
                     f"and {src.value} {x:.12g}"
                 )
         entries.append((x, src))
-    return MergedZeros(m, nu, family, tuple(entries), alpha, tuple(warnings))
+    return MergedZeros(pair.m, pair.nu, pair.family, tuple(entries), pair.alpha, tuple(warnings))
+
+
+def merged_sequence(
+    family: Family,
+    m: int,
+    nu: float,
+    K: int,
+    dedup: float = 1e-7,
+    alpha: float = 0.0,
+) -> MergedZeros:
+    """Ascending merge of the higher-order zeros with the polynomial roots.
+
+    Entries closer than the relative dedup threshold collapse into a single
+    COMMON_ZERO entry; any near-coincidence within 100x the threshold is
+    reported as a warning instead of being silently resolved.
+    """
+    return _merged(Pair(family, m, nu, alpha), K, dedup)
 
 
 def verify_plain_interlacing(
     family: Family, m: int, nu: float, K: int, alpha: float = 0.0
 ) -> InterlaceReport:
     """Strict alternation of the base zeros with the higher-order zeros alone."""
-    _check_family_domain(family, m, nu)
+    pair = Pair(family, m, nu, alpha)
     if K < 3:
         raise DomainError("interlacing verification needs K >= 3")
-    base = zeros(_base_fid(family, nu, alpha), K).as_array()
-    high = zeros(_high_fid(family, m, nu, alpha), K).as_array()
+    base = zeros(pair.base, K).as_array()
+    high = zeros(pair.shifted, K).as_array()
     violations = []
     n_checks = len(base) - 1
     for i in range(n_checks):
@@ -294,12 +317,16 @@ def verify_generalized_interlacing(
     dedup: float = 1e-7,
     alpha: float = 0.0,
 ) -> InterlaceReport:
-    """Alternation of the base zeros (common zeros removed) with the merged set."""
-    _check_family_domain(family, m, nu)
+    """Alternation of the base zeros (common zeros removed) with the merged set.
+
+    Finds the base zeros, the shifted zeros and the polynomial roots once each.
+    """
+    pair = Pair(family, m, nu, alpha)
     if K < 3:
         raise DomainError("interlacing verification needs K >= 3")
-    base = zeros(_base_fid(family, nu, alpha), K).as_array()
-    common = detect_common_zeros(family, m, nu, K, tol, alpha)
+    base_list = zeros(pair.base, K)
+    base = base_list.as_array()
+    common = _common_zeros(pair, base_list.zeros, tol)
     cvals = np.asarray(common.values(), dtype=float)
 
     keep = np.ones(base.size, dtype=bool)
@@ -308,7 +335,7 @@ def verify_generalized_interlacing(
         keep[idx] = False
     pruned = base[keep]
 
-    merged = merged_sequence(family, m, nu, K, dedup, alpha)
+    merged = _merged(pair, K, dedup)
     mvals = merged.values()
 
     has_poly = any(src is not Source.HIGHER_ORDER_ZERO for _, src in merged.entries)
@@ -339,10 +366,11 @@ def no_consecutive_common_zeros(
     m: int, nu: float, K: int, tol: float = 1e-8, family: Family = Family.BESSEL_J, alpha: float = 0.0
 ) -> bool:
     """No two adjacent base zeros are both common zeros."""
-    base = zeros(_base_fid(family, nu, alpha), K).as_array()
-    common = detect_common_zeros(family, m, nu, K, tol, alpha)
+    pair = Pair(family, m, nu, alpha)
+    base_list = zeros(pair.base, K)
+    base = base_list.as_array()
     flags = np.zeros(base.size, dtype=bool)
-    for c in common.values():
+    for c in _common_zeros(pair, base_list.zeros, tol).values():
         flags[int(np.argmin(np.abs(base - c)))] = True
     return not bool((flags[:-1] & flags[1:]).any())
 
@@ -356,8 +384,9 @@ def common_zero_sandwich(
 
     with the convention high_0 = base_0 = 0 for the leading indices.
     """
-    base = zeros(_base_fid(family, nu, alpha), K).as_array()
-    high = zeros(_high_fid(family, m, nu, alpha), K).as_array()
+    pair = Pair(family, m, nu, alpha)
+    base = zeros(pair.base, K).as_array()
+    high = zeros(pair.shifted, K).as_array()
     s = int(np.argmin(np.abs(base - zeta)))
     k = int(np.argmin(np.abs(high - zeta)))
     if abs(base[s] - zeta) > 1e-6 * zeta or abs(high[k] - zeta) > 1e-6 * zeta:
@@ -515,19 +544,17 @@ def cylinder_prefix_alternation(alpha: float, nu: float, m: int) -> CylinderPref
     alongside the sign claims (-1)^(k+1) R_{m-1,nu+1}(c_k) > 0 and
     (-1)^l C_nu(rho_l) > 0.
     """
-    if nu <= 0.0:
-        raise DomainError("cylinder prefix structure requires nu > 0")
-    chi = zeros(FunctionId(Kind.CYLINDER, nu + m, alpha=alpha), 1).zeros[0]
+    pair = Pair(Family.CYLINDER, m, nu, alpha)
+    chi = zeros(pair.shifted, 1).zeros[0]
     base = []
     k = 8
     while True:
-        zl = zeros(FunctionId(Kind.CYLINDER, nu, alpha=alpha), k).as_array()
+        zl = zeros(pair.base, k).as_array()
         if zl[-1] >= chi:
             base = [float(c) for c in zl if c < chi]
             break
         k *= 2
-    pval, _, roots = _poly_functions(Family.CYLINDER, m, nu)
-    rho = [float(r) for r in roots if r < chi]
+    rho = [float(r) for r in pair.roots if r < chi]
 
     n_base, n_poly = len(base), len(rho)
     count_ok = n_poly == n_base - 1
@@ -537,9 +564,9 @@ def cylinder_prefix_alternation(alpha: float, nu: float, m: int) -> CylinderPref
         merged[i][1] != merged[i + 1][1] for i in range(len(merged) - 1)
     )
 
-    cfun = _special.value_fn(FunctionId(Kind.CYLINDER, nu, alpha=alpha))
+    cfun = _special.value_fn(pair.base)
     claims = all(
-        (-1.0) ** (idx + 2) * float(pval(c)) > 0.0 for idx, c in enumerate(base)
+        (-1.0) ** (idx + 2) * float(pair.poly(c)) > 0.0 for idx, c in enumerate(base)
     ) and all((-1.0) ** (idx + 1) * float(cfun(r)) > 0.0 for idx, r in enumerate(rho))
 
     return CylinderPrefixReport(alpha, nu, m, n_base, n_poly, count_ok, alternation_ok, claims)

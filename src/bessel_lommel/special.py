@@ -1,10 +1,10 @@
 """Evaluation of the Bessel / cylinder function family.
 
 Wraps the vetted backend routines (scipy.special) behind a small contract:
-every public operation returns an :class:`EvalResult` carrying the value, a
-conservative absolute-error estimate and the evaluation regime.  The error
-estimates are validated against an independent high-precision oracle on the
-fixture grid shipped with the package (see ``data/accuracy_grid.csv``).
+every public operation returns an :class:`EvalResult` carrying the value and
+a conservative absolute-error estimate.  The error estimates are validated
+against an independent high-precision oracle on the fixture grid shipped
+with the package (see ``data/accuracy_grid.csv``).
 
 Supported members:
 
@@ -41,13 +41,6 @@ class Kind(enum.Enum):
     BESSEL_J_PRIME = "jp"
     LOMMEL = "lommel"
     ASSOC_LOMMEL = "assoc-lommel"
-
-
-class Method(enum.Enum):
-    SERIES = "series"
-    BACKWARD_RECURRENCE = "backward-recurrence"
-    ASYMPTOTIC = "asymptotic"
-    CONNECTION = "connection"
 
 
 @dataclass(frozen=True)
@@ -89,22 +82,11 @@ class FunctionId:
 class EvalResult:
     value: float
     abs_error_estimate: float
-    method: Method
 
 
 def _check_order(nu: float) -> None:
     if abs(nu) > MAX_ORDER:
         raise OverflowError(f"order |nu|={abs(nu):g} exceeds the supported range {MAX_ORDER:g}")
-
-
-def _regime(nu: float, x: float) -> Method:
-    # Regime map of the evaluation strategy: power series for small arguments,
-    # normalized recurrence in the mid range, large-argument asymptotics beyond.
-    if x <= 12.0:
-        return Method.SERIES
-    if x <= max(30.0, 2.0 * abs(nu)):
-        return Method.BACKWARD_RECURRENCE
-    return Method.ASYMPTOTIC
 
 
 def _envelope_j(nu: float, x: float) -> float:
@@ -176,13 +158,13 @@ def bessel_j(nu: float, x: float) -> EvalResult:
         n = int(round(nu))
         inner = bessel_j(-float(n), x)
         sign = -1.0 if n % 2 else 1.0
-        return EvalResult(sign * inner.value, inner.abs_error_estimate, Method.CONNECTION)
+        return EvalResult(sign * inner.value, inner.abs_error_estimate)
     if x == 0.0:
         value = 1.0 if nu == 0.0 else 0.0
-        return EvalResult(value, 0.0, Method.SERIES)
+        return EvalResult(value, 0.0)
     value = float(_sp.jv(nu, x))
     est = 2e-13 * (abs(value) + _envelope_j(nu, x))
-    return EvalResult(value, est, _regime(nu, x))
+    return EvalResult(value, est)
 
 
 def bessel_j_scaled(nu: float, x: float) -> EvalResult:
@@ -193,11 +175,11 @@ def bessel_j_scaled(nu: float, x: float) -> EvalResult:
     if x < 0.0:
         raise DomainError("bessel_j_scaled requires x >= 0")
     if x == 0.0:
-        return EvalResult(1.0, 0.0, Method.SERIES)
+        return EvalResult(1.0, 0.0)
     value = float(jj_scaled(nu, x))
     scale = math.exp(_sp.gammaln(nu + 1.0) - nu * math.log(x / 2.0))
     est = 2e-13 * (abs(value) + scale * _envelope_j(nu, x))
-    return EvalResult(value, est, Method.CONNECTION)
+    return EvalResult(value, est)
 
 
 def bessel_y(nu: float, x: float) -> EvalResult:
@@ -211,7 +193,7 @@ def bessel_y(nu: float, x: float) -> EvalResult:
     else:
         env = abs(value)
     est = 5e-13 * (abs(value) + env)
-    return EvalResult(value, est, _regime(nu, x))
+    return EvalResult(value, est)
 
 
 def bessel_j_prime(nu: float, x: float) -> EvalResult:
@@ -227,7 +209,7 @@ def bessel_j_prime(nu: float, x: float) -> EvalResult:
     hi = bessel_j(nu + 1.0, x)
     value = 0.5 * (lo.value - hi.value)
     est = 0.5 * (lo.abs_error_estimate + hi.abs_error_estimate)
-    return EvalResult(value, est, Method.CONNECTION)
+    return EvalResult(value, est)
 
 
 def cylinder(alpha: float, nu: float, x: float) -> EvalResult:
@@ -242,7 +224,7 @@ def cylinder(alpha: float, nu: float, x: float) -> EvalResult:
     y = bessel_y(nu, x)
     value = math.cos(alpha) * j.value - math.sin(alpha) * y.value
     est = abs(math.cos(alpha)) * j.abs_error_estimate + abs(math.sin(alpha)) * y.abs_error_estimate
-    return EvalResult(value, est, Method.CONNECTION)
+    return EvalResult(value, est)
 
 
 def cylinder_prime(alpha: float, nu: float, x: float) -> EvalResult:
@@ -254,7 +236,7 @@ def cylinder_prime(alpha: float, nu: float, x: float) -> EvalResult:
     value = float(cylp(alpha, nu, x))
     jl = bessel_j(nu - 1.0, x) if nu - 1.0 > -1.0 else bessel_j(nu + 1.0, x)
     est = jl.abs_error_estimate + 1e-13 * abs(value)
-    return EvalResult(value, est, Method.CONNECTION)
+    return EvalResult(value, est)
 
 
 def modified_k0(x: float) -> EvalResult:
@@ -263,7 +245,7 @@ def modified_k0(x: float) -> EvalResult:
         raise DomainError("modified_k0 requires x > 0")
     value = float(_sp.k0(x))
     est = 1e-13 * (abs(value) + 1e-300)
-    return EvalResult(value, est, _regime(0.0, x))
+    return EvalResult(value, est)
 
 
 def watson_integrand(u, c: float, nu: float):
@@ -291,8 +273,8 @@ def evaluate(fid: FunctionId, x: float) -> EvalResult:
     from . import lommel as _lommel
 
     if fid.kind is Kind.LOMMEL:
-        return EvalResult(_lommel.lommel_eval(fid.degree, fid.order, x), 0.0, Method.SERIES)
-    return EvalResult(_lommel.assoc_eval(fid.degree, fid.order, x), 0.0, Method.SERIES)
+        return EvalResult(_lommel.lommel_eval(fid.degree, fid.order, x), 0.0)
+    return EvalResult(_lommel.assoc_eval(fid.degree, fid.order, x), 0.0)
 
 
 def value_fn(fid: FunctionId):
@@ -305,11 +287,7 @@ def value_fn(fid: FunctionId):
         return lambda x: cyl(fid.alpha, fid.order, x)
     if fid.kind is Kind.BESSEL_J_PRIME:
         return lambda x: jvp(fid.order, x)
-    from . import lommel as _lommel
-
-    if fid.kind is Kind.LOMMEL:
-        return lambda x: _lommel.lommel_eval(fid.degree, fid.order, x)
-    return lambda x: _lommel.assoc_eval(fid.degree, fid.order, x)
+    raise DomainError(f"no vectorized evaluator for {fid.label()}")
 
 
 def derivative_fn(fid: FunctionId):
@@ -322,8 +300,4 @@ def derivative_fn(fid: FunctionId):
         return lambda x: cylp(fid.alpha, fid.order, x)
     if fid.kind is Kind.BESSEL_J_PRIME:
         return lambda x: jvpp(fid.order, x)
-    from . import lommel as _lommel
-
-    if fid.kind is Kind.LOMMEL:
-        return lambda x: _lommel.lommel_prime(fid.degree, fid.order, x)
-    return lambda x: _lommel.assoc_prime(fid.degree, fid.order, x)
+    raise DomainError(f"no vectorized evaluator for {fid.label()}")

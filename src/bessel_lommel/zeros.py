@@ -167,11 +167,7 @@ def zeros(fid: FunctionId, K: int, tolerance: float = 1e-12) -> ZeroList:
     if K < 0:
         raise DomainError("zeros requires K >= 0")
     if fid.kind in (Kind.LOMMEL, Kind.ASSOC_LOMMEL):
-        if fid.kind is Kind.LOMMEL:
-            zl = _lommel.lommel_roots(fid.degree, fid.order - 1.0, _lommel.PolyKind.PLAIN)
-        else:
-            zl = _lommel.lommel_roots(fid.degree, fid.order, _lommel.PolyKind.ASSOCIATED)
-        return ZeroList(fid, zl.zeros[:K], zl.residuals[:K], zl.method, zl.tolerance)
+        raise DomainError("zeros() takes Bessel kinds only; use lommel_roots for polynomial roots")
     if fid.kind is Kind.BESSEL_J and fid.order <= -1.0:
         raise DomainError("zeros of J_nu require nu > -1")
     if fid.kind is Kind.BESSEL_J_PRIME and fid.order < 0.0:

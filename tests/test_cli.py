@@ -169,6 +169,43 @@ def test_config_file_and_flag_precedence(tmp_path: Path, capsys):
     json.loads(out)
 
 
+@pytest.mark.parametrize("line", ["common_tol=0.5", "jobs=0"])
+def test_unknown_config_key_exits_2(tmp_path: Path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"format=csv\n{line}\n")
+    code, out, err = run_cli(
+        capsys, "zeros", "--kind", "j", "--nu", "0", "--count", "1", "--config", str(cfg)
+    )
+    assert code == 2
+    assert out == ""
+    assert "configuration error" in err and repr(line.split("=")[0]) in err
+
+
+def test_config_keys_valid_for_every_subcommand(tmp_path: Path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol=1e-10\ncommon-tol=1e-9\ndedup-tol=1e-8\nn=2000\nformat=csv\n")
+    code, out, _ = run_cli(capsys, "eta", "--n", "4", "--config", str(cfg))
+    assert code == 0
+    assert out.splitlines()[0] == "l,eta"
+
+
+@pytest.mark.parametrize(
+    "flags", [["--tol", "1e-3"], ["--common-tol", "0.5"], ["--verbose"]]
+)
+def test_flag_on_subcommand_that_ignores_it_exits_2(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["eta", "--n", "4", *flags])
+    assert exc.value.code == 2
+
+
+def test_cylinder_bracket_below_domain_exits_2(capsys):
+    code, _, err = run_cli(
+        capsys, "common-zero", "--m", "4", "--bracket", "-0.5", "-0.2", "--alpha", "0.3"
+    )
+    assert code == 2
+    assert "domain error" in err
+
+
 def test_bracket_without_sign_change_exits_1(capsys):
     code, _, err = run_cli(
         capsys, "common-zero", "--m", "3", "--l", "1", "--k", "1",

@@ -75,7 +75,7 @@ def test_trajectories_monotone_and_annotated():
 
 
 def test_cylinder_reduces_to_bessel_at_alpha_zero():
-    a = bl.cylinder_nu_star(0.0, 3, 1, 2, (3.0, 5.0))
+    a = bl.solve_nu_star(3, 1, 2, 3.0, 5.0, alpha=0.0)
     b = bl.solve_nu_star(3, 1, 2, 3.0, 5.0)
     assert a.nu_star == pytest.approx(b.nu_star, abs=1e-12)
 
@@ -85,7 +85,7 @@ def test_cylinder_crossing_resolves():
     assert sols
     s = sols[0]
     assert s.residual_j < 1e-8 and s.residual_jm < 1e-8
-    c = bl.cylinder_nu_star(math.pi / 4.0, 3, s.l, s.k, s.bracket)
+    c = bl.solve_nu_star(3, s.l, s.k, *s.bracket, alpha=math.pi / 4.0)
     assert c.nu_star == pytest.approx(s.nu_star, abs=1e-10)
 
 

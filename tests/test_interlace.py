@@ -99,6 +99,28 @@ def test_report_requires_enough_zeros():
         bl.verify_generalized_interlacing(Family.BESSEL_J, 3, 1.0, 2)
 
 
+def test_generalized_verification_computes_each_list_once(monkeypatch):
+    # base zeros and shifted zeros are found once each, the polynomial roots
+    # are solved once, and detecting common zeros reuses the base zeros
+    import bessel_lommel.interlace as interlace_mod
+    import bessel_lommel.lommel as lommel_mod
+
+    calls = {"zeros": 0, "roots": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(interlace_mod, "zeros", counted("zeros", interlace_mod.zeros))
+    monkeypatch.setattr(lommel_mod, "root_positions", counted("roots", lommel_mod.root_positions))
+    rep = bl.verify_generalized_interlacing(Family.BESSEL_J, 5, NU_STAR_M5, 20)
+    assert rep.ok and len(rep.common_zeros) == 1
+    assert calls == {"zeros": 2, "roots": 1}
+
+
 def test_no_consecutive_common_zeros():
     assert bl.no_consecutive_common_zeros(4, 0.25, 20)
     assert bl.no_consecutive_common_zeros(5, NU_STAR_M5, 20)
@@ -252,5 +274,13 @@ def test_cylinder_wronskian_positive_past_first_zero():
 
 
 def test_cylinder_domain():
+    # cylinder orders must be positive and the order gap at least 1, whichever
+    # operation builds the base/shifted/polynomial triple
     with pytest.raises(DomainError):
         bl.verify_generalized_interlacing(Family.CYLINDER, 3, -0.5, 10, alpha=0.3)
+    with pytest.raises(DomainError):
+        bl.find_in_bracket(4, -0.5, -0.2, alpha=0.3)
+    with pytest.raises(DomainError):
+        bl.common_zero_sandwich(Family.CYLINDER, 3, -0.5, 3.0, alpha=0.3)
+    with pytest.raises(DomainError):
+        bl.cylinder_prefix_alternation(0.3, 1.0, 0)

@@ -43,7 +43,6 @@ def test_j_negative_integer_reflection():
     x = 3.3
     r = bl.bessel_j(-3.0, x)
     assert r.value == pytest.approx(-bl.bessel_j(3.0, x).value, rel=1e-14)
-    assert r.method is bl.Method.CONNECTION
 
 
 def test_scaled_function_normalization():
