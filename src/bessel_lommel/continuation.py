@@ -93,10 +93,8 @@ def _pair(m: int, nu: float, alpha: float) -> Pair:
 def _distance(m: int, l: int, k: int, nu: float, alpha: float) -> float:
     """rho_{m-1,nu,l} - (k-th base zero)."""
     pair = _pair(m, nu, alpha)
-    if len(pair.roots) < l:
-        raise DomainError(
-            f"R_{{{m-1},nu+1}} has only {len(pair.roots)} positive roots at nu={nu:.6g}; l={l}"
-        )
+    if l > pair.max_common:
+        raise DomainError(f"R_{{{m-1},nu+1}} has at most {pair.max_common} positive roots; l={l}")
     return float(pair.roots[l - 1]) - zeros(pair.base, k).zeros[k - 1]
 
 
@@ -155,6 +153,35 @@ def solve_nu_star(
     return NuStarSolution(m, l, k, float(nu_star), float(x_star), res_lo, res_hi, (nu_lo, nu_hi), alpha)
 
 
+def _table(m: int, nus, k_max: int, n_roots: int, alpha: float, shifted: bool = False):
+    """The first `n_roots` polynomial roots, the first `k_max` base zeros and, with
+    `shifted`, the first `k_max` shifted zeros at each order: one row per order."""
+    rho = np.empty((len(nus), n_roots))
+    base = np.empty((len(nus), k_max))
+    high = np.empty((len(nus), k_max)) if shifted else None
+    for i, nu in enumerate(nus):
+        pair = _pair(m, nu, alpha)
+        rho[i] = pair.roots[:n_roots]
+        base[i] = zeros(pair.base, k_max).as_array()
+        if shifted:
+            high[i] = zeros(pair.shifted, k_max).as_array()
+    return rho, base, high
+
+
+def _crossings(m: int, nus, rho, base, alpha: float) -> list:
+    """Solve every sign change of rho[:, l] - base[:, k] between neighbouring
+    orders; the solutions are sorted by nu*, ties kept in (l, k, order) order."""
+    sols = []
+    for l in range(rho.shape[1]):
+        for k in range(base.shape[1]):
+            d = rho[:, l] - base[:, k]
+            for i in range(len(nus) - 1):
+                if d[i] == 0.0 or d[i] * d[i + 1] < 0.0:
+                    sols.append(solve_nu_star(m, l + 1, k + 1, nus[i], nus[i + 1], alpha))
+    sols.sort(key=lambda s: s.nu_star)
+    return sols
+
+
 def find_in_bracket(
     m: int,
     nu_lo: float,
@@ -170,18 +197,9 @@ def find_in_bracket(
     """
     if m < 3:
         raise DomainError("common zeros require m >= 3")
-    sols = []
-    lo, hi = _pair(m, nu_lo, alpha), _pair(m, nu_hi, alpha)
-    z_lo = zeros(lo.base, k_search).as_array()
-    z_hi = zeros(hi.base, k_search).as_array()
-    for l in range(1, lo.max_common + 1):
-        for k in range(1, k_search + 1):
-            d_lo = lo.roots[l - 1] - z_lo[k - 1]
-            d_hi = hi.roots[l - 1] - z_hi[k - 1]
-            if d_lo == 0.0 or d_lo * d_hi < 0.0:
-                sols.append(solve_nu_star(m, l, k, nu_lo, nu_hi, alpha))
-    sols.sort(key=lambda s: s.nu_star)
-    return sols
+    nus = [nu_lo, nu_hi]
+    rho, base, _ = _table(m, nus, k_search, _pair(m, nu_lo, alpha).max_common, alpha)
+    return _crossings(m, nus, rho, base, alpha)
 
 
 def scan_nu_star(
@@ -205,27 +223,8 @@ def scan_nu_star(
     grid = [lo]
     while grid[-1] < nu_max:
         grid.append(min(grid[-1] + step, nu_max))
-    pairs = [_pair(m, nu, alpha) for nu in grid]
-    n_roots = pairs[0].max_common
-    rho_arr = np.full((len(grid), n_roots), np.nan)
-    z_arr = np.full((len(grid), k_max), np.nan)
-    for i, pair in enumerate(pairs):
-        rho_arr[i, : len(pair.roots)] = pair.roots[:n_roots]
-        z_arr[i, :] = zeros(pair.base, k_max).as_array()
-
-    sols = []
-    for l in range(n_roots):
-        for k in range(k_max):
-            d = rho_arr[:, l] - z_arr[:, k]
-            for i in range(len(grid) - 1):
-                if np.isnan(d[i]) or np.isnan(d[i + 1]):
-                    continue
-                if d[i] == 0.0 or d[i] * d[i + 1] < 0.0:
-                    sols.append(
-                        solve_nu_star(m, l + 1, k + 1, grid[i], grid[i + 1], alpha)
-                    )
-    sols.sort(key=lambda s: s.nu_star)
-    return sols
+    rho, base, _ = _table(m, grid, k_max, _pair(m, lo, alpha).max_common, alpha)
+    return _crossings(m, grid, rho, base, alpha)
 
 
 def trace_trajectories(
@@ -241,47 +240,19 @@ def trace_trajectories(
     nus = [lo]
     while nus[-1] + step <= hi + 1e-12:
         nus.append(nus[-1] + step)
-    pairs = [_pair(m, nu, alpha) for nu in nus]
+    n_roots = min(l_max, _pair(m, lo, alpha).max_common)
+    rho, base, high = _table(m, nus, k_max, n_roots, alpha, shifted=True)
 
-    n_roots = min(l_max, pairs[0].max_common)
-    base_curves = [[] for _ in range(k_max)]
-    high_curves = [[] for _ in range(k_max)]
-    rho_curves = [[] for _ in range(n_roots)]
-    for nu, pair in zip(nus, pairs):
-        base = zeros(pair.base, k_max).as_array()
-        high = zeros(pair.shifted, k_max).as_array()
-        for k in range(k_max):
-            base_curves[k].append((nu, float(base[k])))
-            high_curves[k].append((nu, float(high[k])))
-        for l in range(n_roots):
-            rho_curves[l].append((nu, float(pair.roots[l])))
-
+    tag = _family(alpha).value
+    curves = [(f"{tag}[nu,{k+1}]", base[:, k]) for k in range(k_max)]
+    curves += [(f"{tag}[nu+{m},{k+1}]", high[:, k]) for k in range(k_max)]
+    curves += [(f"rho[{m-1},nu,{l+1}]", rho[:, l]) for l in range(n_roots)]
     trajectories = []
-    base_tag = pairs[0].family.value
-    for k in range(k_max):
-        xs = [x for _, x in base_curves[k]]
+    for curve_id, column in curves:
+        xs = column.tolist()
         _guard_continuity(xs, step)
-        trajectories.append(Trajectory(m, f"{base_tag}[nu,{k+1}]", tuple(base_curves[k])))
-    for k in range(k_max):
-        xs = [x for _, x in high_curves[k]]
-        _guard_continuity(xs, step)
-        trajectories.append(Trajectory(m, f"{base_tag}[nu+{m},{k+1}]", tuple(high_curves[k])))
-    for l in range(n_roots):
-        xs = [x for _, x in rho_curves[l]]
-        _guard_continuity(xs, step)
-        trajectories.append(Trajectory(m, f"rho[{m-1},nu,{l+1}]", tuple(rho_curves[l])))
-
-    crossings = []
-    for l in range(n_roots):
-        for k in range(k_max):
-            d = [r[1] - b[1] for r, b in zip(rho_curves[l], base_curves[k])]
-            for i in range(len(nus) - 1):
-                if d[i] == 0.0 or d[i] * d[i + 1] < 0.0:
-                    crossings.append(
-                        solve_nu_star(m, l + 1, k + 1, nus[i], nus[i + 1], alpha)
-                    )
-    crossings.sort(key=lambda s: s.nu_star)
-    return TraceResult(tuple(trajectories), tuple(crossings))
+        trajectories.append(Trajectory(m, curve_id, tuple(zip(nus, xs))))
+    return TraceResult(tuple(trajectories), tuple(_crossings(m, nus, rho, base, alpha)))
 
 
 def rational_order_margin(m: int, nu: float, K: int = 20) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 from . import lommel as _lommel
 from . import special as _special
 from .special import DomainError, FunctionId, Kind
-from .zeros import zeros
+from .zeros import ConvergenceError, zeros
 
 
 class Family(enum.Enum):
@@ -59,8 +59,9 @@ class Pair:
     The shifted function vanishes at a base zero exactly where the polynomial
     does, so the common zeros are base zeros that are polynomial roots; there
     are at most `max_common` of them.  Construction checks the family's
-    domain; `roots` are solved on first use and kept.  `alpha` is the
-    cylinder angle and is read by family c only.
+    domain; `roots` are solved on first use and kept, and a root count below
+    `max_common` is a ConvergenceError.  `alpha` is the cylinder angle; the
+    other families reject a nonzero one.
     """
 
     family: Family
@@ -74,6 +75,8 @@ class Pair:
             raise DomainError(f"family '{self.family.value}' requires nu > {nu_floor:g}")
         if self.m < m_min:
             raise DomainError(f"family '{self.family.value}' requires m >= {m_min}")
+        if self.alpha != 0.0 and self.family is not Family.CYLINDER:
+            raise DomainError(f"family '{self.family.value}' takes no alpha; alpha is for family 'c'")
 
     @property
     def base(self) -> FunctionId:
@@ -106,12 +109,19 @@ class Pair:
 
     @cached_property
     def roots(self) -> np.ndarray:
-        """Positive roots of the polynomial, ascending; none when max_common is 0."""
+        """The max_common positive roots of the polynomial, ascending."""
         if self.max_common < 1:
             return np.empty(0)
         if self.family is Family.DERIVATIVE:
-            return _lommel.root_positions(self.m, self.nu, _lommel.PolyKind.ASSOCIATED)
-        return _lommel.root_positions(self.m - 1, self.nu, _lommel.PolyKind.PLAIN)
+            roots = _lommel.root_positions(self.m, self.nu, _lommel.PolyKind.ASSOCIATED)
+        else:
+            roots = _lommel.root_positions(self.m - 1, self.nu, _lommel.PolyKind.PLAIN)
+        if len(roots) < self.max_common:
+            raise ConvergenceError(
+                f"found {len(roots)} of the {self.max_common} positive roots of the "
+                f"compensating polynomial at m={self.m}, nu={self.nu:.6g}"
+            )
+        return roots
 
 
 class Source(enum.Enum):
@@ -200,24 +210,24 @@ class PartialFractionResult:
 # --- operations ----------------------------------------------------------------
 
 
-def _common_zeros(pair: Pair, base_zeros, tol: float) -> CommonZeroSet:
-    """`detect_common_zeros` over base zeros already found."""
+def _common_mask(pair: Pair, base_list, tol: float) -> np.ndarray:
+    """Which zeros of `base_list` are common zeros (see `detect_common_zeros`)."""
     hval = _special.value_fn(pair.shifted)
     hder = _special.derivative_fn(pair.shifted)
-    bval = _special.value_fn(pair.base)
-
-    points = []
-    for x in base_zeros:
-        rp = abs(float(pair.poly(x))) / max(1.0, abs(float(pair.poly_prime(x))))
-        rh = abs(float(hval(x))) / max(1.0, abs(float(hder(x))))
-        if rp < tol and rh < tol:
-            points.append((x, abs(float(bval(x))), abs(float(hval(x)))))
-    if len(points) > pair.max_common:
+    mask = np.asarray(
+        [
+            abs(float(pair.poly(x))) / max(1.0, abs(float(pair.poly_prime(x)))) < tol
+            and abs(float(hval(x))) / max(1.0, abs(float(hder(x)))) < tol
+            for x in base_list.zeros
+        ],
+        dtype=bool,
+    )
+    if mask.sum() > pair.max_common:
         raise RuntimeError(
-            f"detected {len(points)} common zeros but at most {pair.max_common} are possible; "
+            f"detected {mask.sum()} common zeros but at most {pair.max_common} are possible; "
             "the tolerance is too loose"
         )
-    return CommonZeroSet(pair.family, pair.m, pair.nu, tuple(points), tol, pair.alpha)
+    return mask
 
 
 def detect_common_zeros(
@@ -235,7 +245,15 @@ def detect_common_zeros(
     residual of g is |g(x)| / max(1, |g'(x)|).
     """
     pair = Pair(family, m, nu, alpha)
-    return _common_zeros(pair, zeros(pair.base, K).zeros, tol)
+    base_list = zeros(pair.base, K)
+    bval = _special.value_fn(pair.base)
+    hval = _special.value_fn(pair.shifted)
+    points = tuple(
+        (x, abs(float(bval(x))), abs(float(hval(x))))
+        for x, common in zip(base_list.zeros, _common_mask(pair, base_list, tol))
+        if common
+    )
+    return CommonZeroSet(family, m, nu, points, tol, alpha)
 
 
 def _merged(pair: Pair, K: int, dedup: float) -> MergedZeros:
@@ -279,6 +297,29 @@ def merged_sequence(
     return _merged(Pair(family, m, nu, alpha), K, dedup)
 
 
+def _report(pair: Pair, pattern: str, lower, middle, common: tuple = ()) -> InterlaceReport:
+    """Check lower[i] < middle[i] < lower[i+1] as far as both lists reach."""
+    n_checks = min(lower.size - 1, middle.size)
+    violations = []
+    for i in range(n_checks):
+        if not (lower[i] < middle[i] < lower[i + 1]):
+            violations.append((i + 1, float(lower[i]), float(middle[i]), float(lower[i + 1])))
+    ok = not violations
+    return InterlaceReport(
+        family=pair.family,
+        m=pair.m,
+        nu=pair.nu,
+        pattern=pattern,
+        ok=ok,
+        first_violation=None if ok else violations[0][0],
+        skipped_base_zeros=common,
+        violations=tuple(violations),
+        common_zeros=common,
+        alpha=pair.alpha,
+        checked=n_checks,
+    )
+
+
 def verify_plain_interlacing(
     family: Family, m: int, nu: float, K: int, alpha: float = 0.0
 ) -> InterlaceReport:
@@ -287,25 +328,7 @@ def verify_plain_interlacing(
     if K < 3:
         raise DomainError("interlacing verification needs K >= 3")
     base = zeros(pair.base, K).as_array()
-    high = zeros(pair.shifted, K).as_array()
-    violations = []
-    n_checks = len(base) - 1
-    for i in range(n_checks):
-        if not (base[i] < high[i] < base[i + 1]):
-            violations.append((i + 1, float(base[i]), float(high[i]), float(base[i + 1])))
-    ok = not violations
-    return InterlaceReport(
-        family=family,
-        m=m,
-        nu=nu,
-        pattern="plain",
-        ok=ok,
-        first_violation=None if ok else violations[0][0],
-        skipped_base_zeros=(),
-        violations=tuple(violations),
-        alpha=alpha,
-        checked=n_checks,
-    )
+    return _report(pair, "plain", base, zeros(pair.shifted, K).as_array())
 
 
 def verify_generalized_interlacing(
@@ -326,40 +349,12 @@ def verify_generalized_interlacing(
         raise DomainError("interlacing verification needs K >= 3")
     base_list = zeros(pair.base, K)
     base = base_list.as_array()
-    common = _common_zeros(pair, base_list.zeros, tol)
-    cvals = np.asarray(common.values(), dtype=float)
-
-    keep = np.ones(base.size, dtype=bool)
-    for c in cvals:
-        idx = int(np.argmin(np.abs(base - c)))
-        keep[idx] = False
-    pruned = base[keep]
-
+    common = _common_mask(pair, base_list, tol)
     merged = _merged(pair, K, dedup)
-    mvals = merged.values()
-
     has_poly = any(src is not Source.HIGHER_ORDER_ZERO for _, src in merged.entries)
-    pattern = "generalized" if (has_poly or len(common)) else "classical"
-
-    n_checks = min(pruned.size - 1, mvals.size)
-    violations = []
-    for i in range(n_checks):
-        if not (pruned[i] < mvals[i] < pruned[i + 1]):
-            violations.append((i + 1, float(pruned[i]), float(mvals[i]), float(pruned[i + 1])))
-    ok = not violations
-    return InterlaceReport(
-        family=family,
-        m=m,
-        nu=nu,
-        pattern=pattern,
-        ok=ok,
-        first_violation=None if ok else violations[0][0],
-        skipped_base_zeros=tuple(float(c) for c in cvals),
-        violations=tuple(violations),
-        common_zeros=tuple(float(c) for c in cvals),
-        alpha=alpha,
-        checked=n_checks,
-    )
+    pattern = "generalized" if (has_poly or common.any()) else "classical"
+    skipped = tuple(float(c) for c in base[common])
+    return _report(pair, pattern, base[~common], merged.values(), skipped)
 
 
 def no_consecutive_common_zeros(
@@ -367,11 +362,7 @@ def no_consecutive_common_zeros(
 ) -> bool:
     """No two adjacent base zeros are both common zeros."""
     pair = Pair(family, m, nu, alpha)
-    base_list = zeros(pair.base, K)
-    base = base_list.as_array()
-    flags = np.zeros(base.size, dtype=bool)
-    for c in _common_zeros(pair, base_list.zeros, tol).values():
-        flags[int(np.argmin(np.abs(base - c)))] = True
+    flags = _common_mask(pair, zeros(pair.base, K), tol)
     return not bool((flags[:-1] & flags[1:]).any())
 
 

@@ -179,9 +179,10 @@ def zeros(fid: FunctionId, K: int, tolerance: float = 1e-12) -> ZeroList:
     fp = _special.derivative_fn(fid)
     x0 = _scan_start(fid)
 
+    xs = None
     if fid.kind is Kind.BESSEL_J and K > _BULK_SWITCH:
         head_n = max(12, int(math.ceil(max(fid.order, 0.0))) + 4)
-        head = _scan_and_refine(f, fp, x0, head_n, tolerance)
+        head, _ = _scan_and_refine(f, fp, x0, head_n, tolerance)
         ks = np.arange(head_n + 1, K + 1, dtype=float)
         guess = _mcmahon_j(fid.order, ks)
         tail = guess.copy()
@@ -196,12 +197,9 @@ def zeros(fid: FunctionId, K: int, tolerance: float = 1e-12) -> ZeroList:
                 raise ConvergenceError("asymptotic-seeded Newton missed the residual contract")
             method = "scan+bisect head, asymptotic-seeded Newton tail"
         except ConvergenceError:
-            xs = _scan_and_refine(f, fp, x0, K, tolerance)
-            res = np.abs(np.asarray(f(xs), dtype=float))
-            method = "scan + bisection/Newton"
-    else:
-        xs = _scan_and_refine(f, fp, x0, K, tolerance)
-        res = np.abs(np.asarray(f(xs), dtype=float))
+            xs = None
+    if xs is None:
+        xs, res = _scan_and_refine(f, fp, x0, K, tolerance)
         method = "scan + bisection/Newton"
         _validate_run(f, xs)
 
@@ -214,11 +212,10 @@ def zeros(fid: FunctionId, K: int, tolerance: float = 1e-12) -> ZeroList:
     )
 
 
-def _scan_and_refine(f, fp, x0: float, K: int, tolerance: float) -> np.ndarray:
+def _scan_and_refine(f, fp, x0: float, K: int, tolerance: float):
+    """The first K zeros past x0 and their absolute residuals."""
     limit = x0 + (K + 20) * math.pi * 2.0 + 100.0
-    brackets = _scan_brackets(f, x0, K, math.pi / 2.0, limit)
-    xs, _ = _refine_brackets(f, fp, brackets, tolerance)
-    return xs
+    return _refine_brackets(f, fp, _scan_brackets(f, x0, K, math.pi / 2.0, limit), tolerance)
 
 
 def _jzero(nu: float, k: int, tolerance: float = 1e-12) -> float:

@@ -215,6 +215,25 @@ def test_bracket_without_sign_change_exits_1(capsys):
     assert "BracketError" in err
 
 
+def test_trajectory_root_deficit_exits_1(capsys):
+    code, out, err = run_cli(
+        capsys, "trajectory", "--m", "53", "--nu-from", "50", "--nu-to", "50.25",
+        "--step", "0.125", "--k-max", "2", "--l-max", "26",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("ConvergenceError: found 22 of the 26 positive roots")
+
+
+def test_alpha_outside_family_c_exits_2(capsys):
+    code, _, err = run_cli(
+        capsys, "interlace", "--family", "jp", "--m", "3", "--nu", "1.125", "--k", "6",
+        "--alpha", "0.3",
+    )
+    assert code == 2
+    assert "domain error" in err
+
+
 def test_plain_value_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "lommel", "--m", "2", "--nu", "-0.5", "--roots")
     assert code == 2

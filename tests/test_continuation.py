@@ -6,6 +6,7 @@ import pytest
 import bessel_lommel as bl
 from bessel_lommel.continuation import BracketError
 from bessel_lommel.special import DomainError, jv
+from bessel_lommel.zeros import ConvergenceError
 
 
 def test_solve_inside_published_bracket():
@@ -57,6 +58,25 @@ def test_scan_with_no_indices_is_empty():
 def test_solve_requires_shift_three():
     with pytest.raises(DomainError):
         bl.solve_nu_star(2, 1, 2, 1.0, 2.0)
+
+
+def test_root_deficit_raises_on_every_path():
+    # near nu = 50 the root solver finds fewer roots of R_{m-1,nu+1} than the
+    # (m-1)//2 that theory gives (22 of 26 at m = 53, 20 of 30 at m = 61); scan,
+    # bracket, trace and the distance all refuse instead of answering from a
+    # short root list
+    from bessel_lommel.continuation import _distance
+
+    with pytest.raises(ConvergenceError, match="20 of the 30"):
+        bl.scan_nu_star(61, 2, 50.3, nu_min=50.0)
+    with pytest.raises(ConvergenceError, match="22 of the 26"):
+        bl.find_in_bracket(53, 50.0, 50.05)
+    with pytest.raises(ConvergenceError, match="22 of the 26"):
+        bl.trace_trajectories(53, (50.0, 50.25), 0.125, k_max=2, l_max=26)
+    with pytest.raises(ConvergenceError):
+        _distance(53, 1, 1, 50.0, 0.0)
+    with pytest.raises(DomainError):
+        _distance(53, 27, 1, 1.0, 0.0)
 
 
 def test_trajectories_monotone_and_annotated():

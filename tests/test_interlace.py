@@ -94,6 +94,14 @@ def test_generalized_at_crossing_order():
     assert rep.skipped_base_zeros[0] == pytest.approx(26.294110115998, abs=1e-6)
 
 
+def test_alpha_only_for_cylinder_family():
+    # the angle is read by family c only; elsewhere a nonzero one is refused
+    for family in (Family.BESSEL_J, Family.DERIVATIVE):
+        with pytest.raises(DomainError):
+            bl.verify_generalized_interlacing(family, 3, 1.125, 6, alpha=0.3)
+    assert bl.verify_generalized_interlacing(Family.DERIVATIVE, 3, 1.125, 6, alpha=0.0).ok
+
+
 def test_report_requires_enough_zeros():
     with pytest.raises(DomainError):
         bl.verify_generalized_interlacing(Family.BESSEL_J, 3, 1.0, 2)
