@@ -162,8 +162,7 @@ def _cmd_lommel(args, cfg: RunConfig) -> int:
     rows = [(k, c) for k, c in enumerate(coeffs.coeffs)]
     header = ("k", "coefficient")
     if args.roots:
-        lam = args.nu - 1.0 if kind is _lommel.PolyKind.PLAIN else args.nu
-        zl = _lommel.lommel_roots(args.m, lam, kind)
+        zl = coeffs.root_list()
         payload["roots"] = list(zl.zeros)
         payload["root_residuals"] = list(zl.residuals)
         rows = [(i + 1, r) for i, r in enumerate(zl.zeros)]

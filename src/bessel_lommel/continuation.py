@@ -91,11 +91,11 @@ def _pair(m: int, nu: float, alpha: float) -> Pair:
 
 
 def _distance(m: int, l: int, k: int, nu: float, alpha: float) -> float:
-    """rho_{m-1,nu,l} - (k-th base zero)."""
+    """rho_{m-1,nu,l} - (k-th base zero); checks l and k for every `solve_nu_star` step."""
     pair = _pair(m, nu, alpha)
-    if l > pair.max_common:
-        raise DomainError(f"R_{{{m-1},nu+1}} has at most {pair.max_common} positive roots; l={l}")
-    return float(pair.roots[l - 1]) - zeros(pair.base, k).zeros[k - 1]
+    if not 1 <= l <= pair.max_common or k < 1:
+        raise DomainError(f"need 1 <= l <= {pair.max_common} and k >= 1; got l={l}, k={k}")
+    return float(pair.poly.roots()[l - 1]) - zeros(pair.base, k).zeros[k - 1]
 
 
 def _guard_continuity(values, step: float) -> None:
@@ -161,7 +161,7 @@ def _table(m: int, nus, k_max: int, n_roots: int, alpha: float, shifted: bool = 
     high = np.empty((len(nus), k_max)) if shifted else None
     for i, nu in enumerate(nus):
         pair = _pair(m, nu, alpha)
-        rho[i] = pair.roots[:n_roots]
+        rho[i] = pair.poly.roots()[:n_roots]
         base[i] = zeros(pair.base, k_max).as_array()
         if shifted:
             high[i] = zeros(pair.shifted, k_max).as_array()

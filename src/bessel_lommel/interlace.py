@@ -32,7 +32,7 @@ import numpy as np
 from . import lommel as _lommel
 from . import special as _special
 from .special import DomainError, FunctionId, Kind
-from .zeros import ConvergenceError, zeros
+from .zeros import zeros
 
 
 class Family(enum.Enum):
@@ -59,9 +59,8 @@ class Pair:
     The shifted function vanishes at a base zero exactly where the polynomial
     does, so the common zeros are base zeros that are polynomial roots; there
     are at most `max_common` of them.  Construction checks the family's
-    domain; `roots` are solved on first use and kept, and a root count below
-    `max_common` is a ConvergenceError.  `alpha` is the cylinder angle; the
-    other families reject a nonzero one.
+    domain; `poly` is built on first use and kept.  `alpha` is the cylinder
+    angle; the other families reject a nonzero one.
     """
 
     family: Family
@@ -92,36 +91,17 @@ class Pair:
             return FunctionId(Kind.CYLINDER, self.nu + self.m, alpha=self.alpha)
         return FunctionId(Kind.BESSEL_J, self.nu + self.m)
 
+    @cached_property
+    def poly(self) -> _lommel.LommelCoefficients:
+        """The compensating polynomial, built on first use and kept."""
+        if self.family is Family.DERIVATIVE:
+            return _lommel.lommel_coefficients(self.m, self.nu, _lommel.PolyKind.ASSOCIATED)
+        return _lommel.lommel_coefficients(self.m - 1, self.nu + 1.0)
+
     @property
     def max_common(self) -> int:
         """Bound on the number of common zeros: half the polynomial's degree, rounded down."""
-        return self.m // 2 if self.family is Family.DERIVATIVE else (self.m - 1) // 2
-
-    def poly(self, x):
-        if self.family is Family.DERIVATIVE:
-            return _lommel.assoc_eval(self.m, self.nu, x)
-        return _lommel.lommel_eval(self.m - 1, self.nu + 1.0, x)
-
-    def poly_prime(self, x):
-        if self.family is Family.DERIVATIVE:
-            return _lommel.assoc_prime(self.m, self.nu, x)
-        return _lommel.lommel_prime(self.m - 1, self.nu + 1.0, x)
-
-    @cached_property
-    def roots(self) -> np.ndarray:
-        """The max_common positive roots of the polynomial, ascending."""
-        if self.max_common < 1:
-            return np.empty(0)
-        if self.family is Family.DERIVATIVE:
-            roots = _lommel.root_positions(self.m, self.nu, _lommel.PolyKind.ASSOCIATED)
-        else:
-            roots = _lommel.root_positions(self.m - 1, self.nu, _lommel.PolyKind.PLAIN)
-        if len(roots) < self.max_common:
-            raise ConvergenceError(
-                f"found {len(roots)} of the {self.max_common} positive roots of the "
-                f"compensating polynomial at m={self.m}, nu={self.nu:.6g}"
-            )
-        return roots
+        return self.poly.m // 2
 
 
 class Source(enum.Enum):
@@ -216,7 +196,7 @@ def _common_mask(pair: Pair, base_list, tol: float) -> np.ndarray:
     hder = _special.derivative_fn(pair.shifted)
     mask = np.asarray(
         [
-            abs(float(pair.poly(x))) / max(1.0, abs(float(pair.poly_prime(x)))) < tol
+            abs(pair.poly(x)) / max(1.0, abs(pair.poly.prime(x))) < tol
             and abs(float(hval(x))) / max(1.0, abs(float(hder(x)))) < tol
             for x in base_list.zeros
         ],
@@ -258,7 +238,7 @@ def detect_common_zeros(
 
 def _merged(pair: Pair, K: int, dedup: float) -> MergedZeros:
     tagged = [(float(x), Source.HIGHER_ORDER_ZERO) for x in zeros(pair.shifted, K).zeros]
-    tagged += [(float(r), Source.LOMMEL_ROOT) for r in pair.roots]
+    tagged += [(float(r), Source.LOMMEL_ROOT) for r in pair.poly.roots()]
     tagged.sort(key=lambda entry: entry[0])
 
     entries: list = []
@@ -545,7 +525,7 @@ def cylinder_prefix_alternation(alpha: float, nu: float, m: int) -> CylinderPref
             base = [float(c) for c in zl if c < chi]
             break
         k *= 2
-    rho = [float(r) for r in pair.roots if r < chi]
+    rho = [float(r) for r in pair.poly.roots() if r < chi]
 
     n_base, n_poly = len(base), len(rho)
     count_ok = n_poly == n_base - 1
@@ -557,7 +537,7 @@ def cylinder_prefix_alternation(alpha: float, nu: float, m: int) -> CylinderPref
 
     cfun = _special.value_fn(pair.base)
     claims = all(
-        (-1.0) ** (idx + 2) * float(pair.poly(c)) > 0.0 for idx, c in enumerate(base)
+        (-1.0) ** (idx + 2) * pair.poly(c) > 0.0 for idx, c in enumerate(base)
     ) and all((-1.0) ** (idx + 1) * float(cfun(r)) > 0.0 for idx, r in enumerate(rho))
 
     return CylinderPrefixReport(alpha, nu, m, n_base, n_poly, count_ok, alternation_ok, claims)

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .special import DomainError, FunctionId, Kind
+
 
 class PolyKind(enum.Enum):
     PLAIN = "plain"
@@ -30,7 +32,16 @@ class PolyKind(enum.Enum):
 
 @dataclass(frozen=True)
 class LommelCoefficients:
-    """Exact coefficient vector c_k multiplying (x/2)^(2k - m), k = 0..floor(m/2)."""
+    """R_{m,nu} (plain) or R*_{m,nu} (associated) by its exact coefficient vector
+    c_k multiplying (x/2)^(2k - m), k = 0..floor(m/2).
+
+    Calling it evaluates the polynomial at x and `prime(x)` its derivative, both
+    through `_scalar_kernel`, element by element for an array; x = 0 is a
+    DomainError.  `roots()` solves for the positive roots with `root_positions`
+    and `root_list()` adds their residuals.  Two rules hold there and nowhere
+    else: the order must be nu > 0 (ValueError), and fewer than m // 2 roots,
+    the count theory gives, is a ConvergenceError.
+    """
 
     m: int
     nu: float
@@ -39,6 +50,45 @@ class LommelCoefficients:
 
     def as_dict(self) -> dict:
         return {"m": self.m, "nu": self.nu, "kind": self.kind.value, "coeffs": list(self.coeffs)}
+
+    def __call__(self, x):
+        return _evaluate(_scalar_kernel(self.coeffs, self.m), x)
+
+    def prime(self, x):
+        return _evaluate(_scalar_kernel(self.coeffs, self.m, derivative=True), x)
+
+    def roots(self) -> np.ndarray:
+        """The m // 2 positive roots, ascending."""
+        from .zeros import ConvergenceError
+
+        if self.nu <= 0.0:
+            raise ValueError(f"Lommel polynomial roots require nu > 0; nu={self.nu:.6g}")
+        roots = root_positions(self.m, self.nu, self.kind)
+        if len(roots) < self.m // 2:
+            star = "*" if self.kind is PolyKind.ASSOCIATED else ""
+            raise ConvergenceError(
+                f"found {len(roots)} of the {self.m // 2} positive roots of "
+                f"R{star}_{{{self.m},{self.nu:.6g}}}"
+            )
+        return roots
+
+    def root_list(self):
+        """`roots()` as a ZeroList; `tolerance` is the largest scaled residual
+        |R(r)| / max(1, |R'(r)|) reached over the roots."""
+        from .zeros import ZeroList
+
+        xs = self.roots().tolist()
+        vals = [abs(self(x)) for x in xs]
+        kind = Kind.LOMMEL if self.kind is PolyKind.PLAIN else Kind.ASSOC_LOMMEL
+        return ZeroList(
+            fid=FunctionId(kind, self.nu, degree=self.m),
+            zeros=tuple(xs),
+            residuals=tuple(vals),
+            method="companion-matrix + bisection/Newton",
+            tolerance=max(
+                (v / max(1.0, abs(self.prime(x))) for x, v in zip(xs, vals)), default=0.0
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -85,55 +135,44 @@ def lommel_coefficients(m: int, nu: float, kind: PolyKind = PolyKind.PLAIN) -> L
     return LommelCoefficients(m, nu, kind, tuple(coeffs))
 
 
-def _poly_eval(coeffs, m: int, x):
-    x = np.asarray(x, dtype=float)
-    u = (x / 2.0) ** 2
-    acc = np.zeros_like(u)
-    for c in reversed(coeffs):
-        acc = acc * u + c
-    out = acc * (x / 2.0) ** (-m)
-    return out if out.ndim else float(out)
-
-
-def _poly_prime(coeffs, m: int, x):
-    # d/dx sum c_k (x/2)^(2k-m) = (1/x) sum c_k (2k-m) (x/2)^(2k-m)
-    x = np.asarray(x, dtype=float)
-    u = (x / 2.0) ** 2
-    acc = np.zeros_like(u)
-    for k in range(len(coeffs) - 1, -1, -1):
-        acc = acc * u + coeffs[k] * (2 * k - m)
-    out = acc * (x / 2.0) ** (-m) / x
-    return out if out.ndim else float(out)
+def _evaluate(kernel, x):
+    """`kernel` at x, element by element for an array; x = 0 is a DomainError."""
+    xs = np.asarray(x, dtype=float)
+    if (xs == 0.0).any():
+        raise DomainError("Lommel polynomials are evaluated at x != 0")
+    if not xs.ndim:
+        return kernel(float(xs))
+    return np.asarray([kernel(v) for v in xs.ravel().tolist()], dtype=float).reshape(xs.shape)
 
 
 def lommel_eval(m: int, nu: float, x):
     """R_{m,nu}(x) for any integer m; x > 0."""
     if m == -1:
-        return 0.0 * np.asarray(x, dtype=float) if np.ndim(x) else 0.0
+        return _evaluate(lambda _: 0.0, x)
     if m < 0:
         return -lommel_eval(-m - 2, nu + m + 1.0, x)
-    return _poly_eval(_plain_coeffs(m, nu), m, x)
+    return lommel_coefficients(m, nu)(x)
 
 
 def lommel_prime(m: int, nu: float, x):
     """d/dx R_{m,nu}(x)."""
     if m == -1:
-        return 0.0 * np.asarray(x, dtype=float) if np.ndim(x) else 0.0
+        return _evaluate(lambda _: 0.0, x)
     if m < 0:
         return -lommel_prime(-m - 2, nu + m + 1.0, x)
-    return _poly_prime(_plain_coeffs(m, nu), m, x)
+    return lommel_coefficients(m, nu).prime(x)
 
 
 def assoc_eval(m: int, nu: float, x):
     """R*_{m,nu}(x) = (R_{m,nu}(x) - R_{m-2,nu+2}(x)) / 2 for any integer m."""
     if m >= 0:
-        return _poly_eval(_assoc_coeffs(m, nu), m, x)
+        return lommel_coefficients(m, nu, PolyKind.ASSOCIATED)(x)
     return 0.5 * (lommel_eval(m, nu, x) - lommel_eval(m - 2, nu + 2.0, x))
 
 
 def assoc_prime(m: int, nu: float, x):
     if m >= 0:
-        return _poly_prime(_assoc_coeffs(m, nu), m, x)
+        return lommel_coefficients(m, nu, PolyKind.ASSOCIATED).prime(x)
     return 0.5 * (lommel_prime(m, nu, x) - lommel_prime(m - 2, nu + 2.0, x))
 
 
@@ -146,12 +185,11 @@ def _pow(h: float, e: int) -> float:
 
 
 def _scalar_kernel(coeffs, m: int, derivative: bool = False):
-    """Python-float twin of `_poly_eval` (or `_poly_prime`) for one abscissa.
+    """The polynomial with coefficients `coeffs` (or its derivative) at one Python float.
 
-    Bit-identical to the array kernel on scalars: `x / 2.0` on a 0-d array
-    yields an np.float64 whose `**` is libm `pow`, and Python's float `**` is
-    the same `pow`.  Writing `h * h`, or evaluating through numpy arrays (whose
-    power loop may use a SIMD `pow`), changes the last bits.
+    Horner in u = (x/2)**2, times (x/2)**(-m).  It squares with `**`, libm
+    `pow`, as numpy scalars do; `h * h`, or evaluating through numpy arrays
+    (whose power loop may use a SIMD `pow`), changes the last bits.
     """
     if derivative:
         coeffs = [c * (2 * k - m) for k, c in enumerate(coeffs)]
@@ -169,31 +207,22 @@ def _scalar_kernel(coeffs, m: int, derivative: bool = False):
     return kernel
 
 
-def root_positions(n: int, lam: float, kind: PolyKind = PolyKind.PLAIN) -> np.ndarray:
-    """Positive roots of R_{n,lam+1} (plain) or R*_{n,lam} (associated), ascending.
+def root_positions(n: int, nu: float, kind: PolyKind = PolyKind.PLAIN) -> np.ndarray:
+    """Positive roots of R_{n,nu} (plain) or R*_{n,nu} (associated), ascending.
 
     Roots are estimated from the companion matrix of the quadratic-variable
     polynomial sum c_k u^k, u = (x/2)^2, and accepted only when a sign change
     is confirmed in a small bracket around the candidate; each accepted root
     is then refined by bisection plus a Newton polish on the original
-    function, both evaluated by `_scalar_kernel`.  That kernel squares with
-    `**` (libm `pow`), not `h * h`, so that its values equal those of the
-    array kernels `_poly_eval`/`_poly_prime` bit for bit.
+    function, both evaluated by `_scalar_kernel`.  Candidates that cannot be
+    confirmed are dropped; `LommelCoefficients.roots` checks the count.
 
     The bisection runs at most 80 steps, but each step is a deterministic map
     of (a, b, fa, fb) with fa = f(a) and fb = f(b).  Once the midpoint rounds
     to an end point and the step would leave the state as it is, every later
     step is a no-op too, so the loop stops there with the same result.
     """
-    if kind is PolyKind.PLAIN:
-        if lam <= -1.0:
-            raise ValueError("plain Lommel roots require lam > -1")
-        coeffs = _plain_coeffs(n, lam + 1.0)
-    else:
-        if lam <= 0.0:
-            raise ValueError("associated Lommel roots require lam > 0")
-        coeffs = _assoc_coeffs(n, lam)
-
+    coeffs = _plain_coeffs(n, nu) if kind is PolyKind.PLAIN else _assoc_coeffs(n, nu)
     if len(coeffs) < 2:
         return np.empty(0)
     f = _scalar_kernel(coeffs, n)
@@ -242,24 +271,9 @@ def root_positions(n: int, lam: float, kind: PolyKind = PolyKind.PLAIN) -> np.nd
 
 
 def lommel_roots(n: int, lam: float, kind: PolyKind = PolyKind.PLAIN):
-    """Positive roots as a ZeroList with residual metadata."""
-    from .zeros import ZeroList
-    from .special import FunctionId, Kind
-
-    xs = root_positions(n, lam, kind)
-    if kind is PolyKind.PLAIN:
-        fid = FunctionId(Kind.LOMMEL, lam + 1.0, degree=n)
-        vals = lommel_eval(n, lam + 1.0, xs) if xs.size else np.empty(0)
-    else:
-        fid = FunctionId(Kind.ASSOC_LOMMEL, lam, degree=n)
-        vals = assoc_eval(n, lam, xs) if xs.size else np.empty(0)
-    return ZeroList(
-        fid=fid,
-        zeros=tuple(float(x) for x in xs),
-        residuals=tuple(abs(float(v)) for v in np.atleast_1d(vals)) if xs.size else (),
-        method="companion-matrix + bisection/Newton",
-        tolerance=1e-12,
-    )
+    """Positive roots of R_{n,lam+1} (plain) or R*_{n,lam} (associated) as a ZeroList
+    (see `LommelCoefficients.root_list`)."""
+    return lommel_coefficients(n, lam + 1.0 if kind is PolyKind.PLAIN else lam, kind).root_list()
 
 
 def lommel_wronskian_identity(m: int, nu: float, x: float):

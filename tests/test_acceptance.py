@@ -118,8 +118,8 @@ def test_07_slope_limits_and_large_order_slopes():
     )
     for n in (2, 3, 4):
         etas = bl.eta_limit(n).roots
-        up = root_positions(n, 1e4 + 1.0)
-        dn = root_positions(n, 1e4 - 1.0)
+        up = root_positions(n, 1e4 + 1.0 + 1.0)
+        dn = root_positions(n, 1e4 - 1.0 + 1.0)
         slopes = [(a - b) / 2.0 for a, b in zip(up, dn)]
         for slope, eta in zip(slopes, etas):
             assert abs(slope - eta) < 1e-2, (n, slope, eta)

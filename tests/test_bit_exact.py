@@ -2,10 +2,10 @@
 bit, as the straightforward versions they replaced.
 
 The references below are the earlier implementations, kept verbatim: the
-Lommel root refinement through the numpy kernels `_poly_eval`/`_poly_prime`
-with a fixed 80-step bisection, and a zero scan that evaluates whole
-256-point batches.  Results are compared as `float.hex`, so any change of the
-last bit fails.
+numpy-array polynomial kernels `_poly_eval`/`_poly_prime`, the Lommel root
+refinement through them with a fixed 80-step bisection, and a zero scan that
+evaluates whole 256-point batches.  Results are compared as `float.hex`, so
+any change of the last bit fails.
 """
 
 import importlib
@@ -27,13 +27,34 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
+def _poly_eval(coeffs, m: int, x):
+    x = np.asarray(x, dtype=float)
+    u = (x / 2.0) ** 2
+    acc = np.zeros_like(u)
+    for c in reversed(coeffs):
+        acc = acc * u + c
+    out = acc * (x / 2.0) ** (-m)
+    return out if out.ndim else float(out)
+
+
+def _poly_prime(coeffs, m: int, x):
+    # d/dx sum c_k (x/2)^(2k-m) = (1/x) sum c_k (2k-m) (x/2)^(2k-m)
+    x = np.asarray(x, dtype=float)
+    u = (x / 2.0) ** 2
+    acc = np.zeros_like(u)
+    for k in range(len(coeffs) - 1, -1, -1):
+        acc = acc * u + coeffs[k] * (2 * k - m)
+    out = acc * (x / 2.0) ** (-m) / x
+    return out if out.ndim else float(out)
+
+
 def reference_root_positions(n, lam, kind=PolyKind.PLAIN):
     if kind is PolyKind.PLAIN:
         coeffs = L._plain_coeffs(n, lam + 1.0)
     else:
         coeffs = L._assoc_coeffs(n, lam)
-    f = lambda x: L._poly_eval(coeffs, n, x)
-    fp = lambda x: L._poly_prime(coeffs, n, x)
+    f = lambda x: _poly_eval(coeffs, n, x)
+    fp = lambda x: _poly_prime(coeffs, n, x)
 
     if len(coeffs) < 2:
         return np.empty(0)
@@ -122,7 +143,8 @@ def _root_cases():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_root_positions_match_reference_bitwise():
     for n, lam, kind in _root_cases():
-        got = L.root_positions(n, lam, kind)
+        # the reference takes the plain kind's offset lam = nu - 1
+        got = L.root_positions(n, lam + 1.0 if kind is PolyKind.PLAIN else lam, kind)
         want = reference_root_positions(n, lam, kind)
         assert _hex(got) == _hex(want), (n, lam, kind)
 
@@ -131,7 +153,7 @@ def test_root_positions_match_reference_bitwise():
 @pytest.mark.parametrize("derivative", [False, True])
 def test_scalar_kernel_matches_array_kernel_bitwise(derivative):
     rng = random.Random(7 + derivative)
-    array_kernel = L._poly_prime if derivative else L._poly_eval
+    array_kernel = _poly_prime if derivative else _poly_eval
     for _ in range(1000):
         m = rng.randint(0, 70)
         nu = rng.uniform(0.01, 61.0)

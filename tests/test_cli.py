@@ -225,6 +225,25 @@ def test_trajectory_root_deficit_exits_1(capsys):
     assert err.startswith("ConvergenceError: found 22 of the 26 positive roots")
 
 
+@pytest.mark.parametrize("l, k", [("0", "6"), ("2", "0")])
+def test_common_zero_index_out_of_range_exits_2(capsys, l, k):
+    code, out, err = run_cli(
+        capsys, "common-zero", "--m", "5", "--l", l, "--k", k, "--bracket", "5.619", "5.62"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domain error: ")
+
+
+def test_lommel_roots_deficit_exits_1(capsys):
+    # R_{52,51} has 26 positive roots; the solver confirms 22 of them
+    code, out, err = run_cli(capsys, "lommel", "--m", "52", "--nu", "51", "--roots")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("ConvergenceError: found 22 of the 26 positive roots")
+    assert len(err.splitlines()) == 1
+
+
 def test_alpha_outside_family_c_exits_2(capsys):
     code, _, err = run_cli(
         capsys, "interlace", "--family", "jp", "--m", "3", "--nu", "1.125", "--k", "6",

@@ -60,6 +60,14 @@ def test_solve_requires_shift_three():
         bl.solve_nu_star(2, 1, 2, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("l, k", [(0, 6), (-1, 6), (3, 6), (2, 0)])
+def test_solve_rejects_indices_out_of_range(l, k):
+    # m = 5 gives R_{4,nu+1} with 2 positive roots; l = 0 would index the last
+    # root from the end
+    with pytest.raises(DomainError, match="need 1 <= l <= 2 and k >= 1"):
+        bl.solve_nu_star(5, l, k, 5.619, 5.62)
+
+
 def test_root_deficit_raises_on_every_path():
     # near nu = 50 the root solver finds fewer roots of R_{m-1,nu+1} than the
     # (m-1)//2 that theory gives (22 of 26 at m = 53, 20 of 30 at m = 61); scan,

@@ -129,6 +129,25 @@ def test_generalized_verification_computes_each_list_once(monkeypatch):
     assert calls == {"zeros": 2, "roots": 1}
 
 
+@pytest.mark.parametrize("K", [20, 40])
+def test_generalized_verification_builds_coefficients_at_most_twice(monkeypatch, K):
+    # the pair's polynomial is built once and serves every base zero of the
+    # common-zero test; the root solver builds its own coefficients once
+    import bessel_lommel.lommel as lommel_mod
+
+    plain_coeffs = lommel_mod._plain_coeffs
+    calls = []
+
+    def counted(m, nu):
+        calls.append((m, nu))
+        return plain_coeffs(m, nu)
+
+    monkeypatch.setattr(lommel_mod, "_plain_coeffs", counted)
+    rep = bl.verify_generalized_interlacing(Family.BESSEL_J, 5, NU_STAR_M5, K)
+    assert rep.ok and len(rep.common_zeros) == 1
+    assert len(calls) <= 2
+
+
 def test_no_consecutive_common_zeros():
     assert bl.no_consecutive_common_zeros(4, 0.25, 20)
     assert bl.no_consecutive_common_zeros(5, NU_STAR_M5, 20)
@@ -177,7 +196,7 @@ def test_merged_entry_functions_have_simple_zeros():
     high = bl.zeros(bl.FunctionId(bl.Kind.BESSEL_J, nu + m), 15).zeros
     for z in high:
         assert abs(jvp(nu + m, z)) > 1e-6
-    for r in root_positions(m - 1, nu):
+    for r in root_positions(m - 1, nu + 1.0):
         assert abs(lommel_prime(m - 1, nu + 1.0, r)) > 1e-6
 
 

@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 import bessel_lommel as bl
 from bessel_lommel.lommel import (
     PolyKind,
+    assoc_eval,
     assoc_prime,
+    lommel_eval,
     lommel_prime,
     root_positions,
     slope_polynomial_coeffs,
     values_at_bessel_zero,
 )
+from bessel_lommel.special import DomainError
+from bessel_lommel.zeros import ConvergenceError
 
 from oracles import gamma_ratio_lommel
 
@@ -121,7 +125,7 @@ def test_associated_roots_closed_form():
 def test_root_count_and_ordering():
     for n in range(2, 9):
         for lam in (-0.5, 0.0, 1.125, 2.7, 5.0):
-            roots = root_positions(n, lam)
+            roots = root_positions(n, lam + 1.0)
             assert len(roots) <= n // 2
             j1 = bl.zeros(bl.FunctionId(bl.Kind.BESSEL_J, lam), 1).zeros[0]
             assert all(r > j1 for r in roots)
@@ -135,11 +139,42 @@ def test_root_residuals_meet_contract():
         assert res <= zl.tolerance * max(1.0, abs(lommel_prime(6, 2.125, r)))
 
 
+@pytest.mark.parametrize(
+    "n, lam, kind, prime",
+    [(6, 1.125, PolyKind.PLAIN, lommel_prime), (9, 3.5, PolyKind.PLAIN, lommel_prime),
+     (8, 2.7, PolyKind.ASSOCIATED, assoc_prime)],
+)
+def test_root_tolerance_is_the_residual_reached(n, lam, kind, prime):
+    zl = bl.lommel_roots(n, lam, kind)
+    nu = lam + 1.0 if kind is PolyKind.PLAIN else lam
+    reached = max(res / max(1.0, abs(prime(n, nu, r))) for r, res in zip(zl.zeros, zl.residuals))
+    assert zl.tolerance == reached
+    assert 0.0 < zl.tolerance < 1e-13
+
+
+def test_root_tolerance_of_no_roots_is_zero():
+    assert bl.lommel_roots(1, 0.7).tolerance == 0.0
+
+
+def test_root_deficit_raises():
+    # R_{52,51} has 26 positive roots; the solver confirms 22 of them
+    with pytest.raises(ConvergenceError, match="found 22 of the 26"):
+        bl.lommel_roots(52, 50.0)
+    with pytest.raises(ConvergenceError, match="found 22 of the 26"):
+        bl.lommel_coefficients(52, 51.0).roots()
+
+
+def test_roots_require_positive_order():
+    for kind in PolyKind:
+        with pytest.raises(ValueError, match="nu > 0"):
+            bl.lommel_coefficients(4, 0.0, kind).roots()
+
+
 def test_root_ratio_monotone_in_order():
     for n, l in [(2, 1), (3, 1), (4, 1), (4, 2)]:
         ratios = []
         for nu in range(0, 51, 5):
-            roots = root_positions(n, float(nu))
+            roots = root_positions(n, float(nu) + 1.0)
             ratios.append(roots[l - 1] / (nu + 1.0))
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
 
@@ -148,8 +183,8 @@ def test_root_slopes_match_eta_limits():
     for n in (2, 3, 4):
         etas = bl.eta_limit(n).roots
         nu0, h = 1e4, 1.0
-        up = root_positions(n, nu0 + h)
-        dn = root_positions(n, nu0 - h)
+        up = root_positions(n, nu0 + h + 1.0)
+        dn = root_positions(n, nu0 - h + 1.0)
         slopes = [(a - b) / (2.0 * h) for a, b in zip(up, dn)]
         assert len(slopes) == len(etas)
         for s, e in zip(slopes, etas):
@@ -159,8 +194,8 @@ def test_root_slopes_match_eta_limits():
 def test_consecutive_polynomials_share_no_roots():
     for m in range(3, 9):
         for nu in (-0.5, 0.0, 1.125, 2.7):
-            hi = root_positions(m - 1, nu)
-            lo = root_positions(m - 2, nu)
+            hi = root_positions(m - 1, nu + 1.0)
+            lo = root_positions(m - 2, nu + 1.0)
             for r in hi:
                 assert abs(bl.lommel_eval(m - 2, nu + 1.0, r)) > 1e-6
             for r in lo:
@@ -223,3 +258,30 @@ def test_coefficient_dump_shape():
     assert len(d["coeffs"]) == 3
     a = bl.lommel_coefficients(4, 0.7, PolyKind.ASSOCIATED)
     assert len(a.as_dict()["coeffs"]) == 3
+
+
+EVALUATORS = (lommel_eval, lommel_prime, assoc_eval, assoc_prime)
+
+
+@pytest.mark.parametrize("evaluate", EVALUATORS)
+def test_array_evaluation_matches_scalars_bitwise(evaluate):
+    # an array is evaluated element by element with the scalar kernel, so each
+    # element has the bits of the scalar call (a numpy-array power would not)
+    xs = np.linspace(0.5, 50, 100)
+    for m in (-5, -2, -1, 0, 1, 2, 7, 20):
+        for nu in (0.3, 2.7, 11.25):
+            got = evaluate(m, nu, xs)
+            assert got.shape == xs.shape
+            want = [evaluate(m, nu, float(x)) for x in xs]
+            assert [float(v).hex() for v in got] == [v.hex() for v in want], (m, nu)
+    grid = xs.reshape(4, 25)
+    assert evaluate(3, 1.5, grid).shape == (4, 25)
+
+
+@pytest.mark.parametrize("evaluate", EVALUATORS)
+def test_evaluators_reject_zero_abscissa(evaluate):
+    for m in (-3, -1, 0, 2, 5):
+        with pytest.raises(DomainError):
+            evaluate(m, 1.5, 0.0)
+        with pytest.raises(DomainError):
+            evaluate(m, 1.5, np.array([1.0, 0.0, 2.0]))
