@@ -118,6 +118,8 @@ def _build_config(args) -> RunConfig:
         cfg.zero_tol = args.tol
     if getattr(args, "common_tol", None) is not None:
         cfg.common_tol = args.common_tol
+    if getattr(args, "N", None) is not None:
+        cfg.series_n = args.N
     if args.out is not None:
         cfg.out = args.out
     cfg.verbose = getattr(args, "verbose", False)
@@ -231,11 +233,10 @@ def _cmd_common_zero(args, cfg: RunConfig) -> int:
 
 
 def _cmd_wronskian(args, cfg: RunConfig) -> int:
-    n = args.N if args.N is not None else cfg.series_n
     if args.deriv:
-        sample = _interlace.derivative_wronskian_series(args.m, args.nu, args.x, n)
+        sample = _interlace.derivative_wronskian_series(args.m, args.nu, args.x, cfg.series_n)
     else:
-        sample = _interlace.wronskian_series(args.m, args.nu, args.x, n)
+        sample = _interlace.wronskian_series(args.m, args.nu, args.x, cfg.series_n)
     gap = abs(sample.direct - sample.series)
     allowance = sample.tail_bound + 1e-9 * max(1.0, abs(sample.direct))
     ok = gap <= allowance

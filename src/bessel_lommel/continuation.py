@@ -213,6 +213,8 @@ def scan_nu_star(
     """All crossings d(nu) = 0 with k <= k_max on a step-`step` order grid."""
     if m < 3:
         raise DomainError("common zeros require m >= 3")
+    if step <= 0.0:
+        raise DomainError("the order grid requires step > 0")
     if k_max < 1:
         return []
     nu_floor = _SCAN_FLOOR[_family(alpha)]
@@ -236,6 +238,8 @@ def trace_trajectories(
     alpha: float = 0.0,
 ) -> TraceResult:
     """Zero and root trajectories in the (nu, x)-plane, with crossings annotated."""
+    if step <= 0.0:
+        raise DomainError("the order grid requires step > 0")
     lo, hi = nu_range
     nus = [lo]
     while nus[-1] + step <= hi + 1e-12:

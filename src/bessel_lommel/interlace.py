@@ -393,8 +393,8 @@ def wronskian_series(m: int, nu: float, x: float, N: int) -> WronskianSample:
     summed over the positive zeros j_k of J_{nu+m}, truncated at N with an
     explicit bound on the discarded tail.
     """
-    if nu <= -1.0 or m < 1 or x <= 0.0:
-        raise DomainError("wronskian_series requires nu > -1, m >= 1, x > 0")
+    if nu <= -1.0 or m < 1 or x <= 0.0 or N < 1:
+        raise DomainError("wronskian_series requires nu > -1, m >= 1, x > 0, N >= 1")
     zs = zeros(FunctionId(Kind.BESSEL_J, nu + m), N).as_array()
     near = bool(np.min(np.abs(x - zs)) < 1e-6)
 
@@ -422,8 +422,8 @@ def derivative_wronskian_series(m: int, nu: float, x: float, N: int) -> Wronskia
     The series form carries the extra nu/(2x^2) term; at m = 0 it reduces to
     W[J'_nu, J_nu](x) = J_nu^2(x) (nu/x^2 + 2 sum_k (x^2+j_k^2)/(x^2-j_k^2)^2).
     """
-    if x <= 0.0:
-        raise DomainError("derivative_wronskian_series requires x > 0")
+    if x <= 0.0 or N < 1:
+        raise DomainError("derivative_wronskian_series requires x > 0, N >= 1")
     if not (nu > 0.0 and m >= 0) and not (nu == 0.0 and m >= 2):
         raise DomainError("requires nu > 0 with m >= 0, or nu = 0 with m >= 2")
     zs = zeros(FunctionId(Kind.BESSEL_J, nu + m), N).as_array()

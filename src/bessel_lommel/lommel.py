@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import DomainError, FunctionId, Kind
+from .special import DomainError
 
 
 class PolyKind(enum.Enum):
@@ -79,9 +79,8 @@ class LommelCoefficients:
 
         xs = self.roots().tolist()
         vals = [abs(self(x)) for x in xs]
-        kind = Kind.LOMMEL if self.kind is PolyKind.PLAIN else Kind.ASSOC_LOMMEL
         return ZeroList(
-            fid=FunctionId(kind, self.nu, degree=self.m),
+            fid=self,
             zeros=tuple(xs),
             residuals=tuple(vals),
             method="companion-matrix + bisection/Newton",

@@ -1,10 +1,11 @@
 """Evaluation of the Bessel / cylinder function family.
 
-Wraps the vetted backend routines (scipy.special) behind a small contract:
-every public operation returns an :class:`EvalResult` carrying the value and
-a conservative absolute-error estimate.  The error estimates are validated
-against an independent high-precision oracle on the fixture grid shipped
-with the package (see ``data/accuracy_grid.csv``).
+Wraps the vetted backend routines (scipy.special) in raw vectorized
+evaluators (``jv``, ``jvp``, ``cyl``, ...), which every algorithm calls.  Each
+contract function checks the domain, takes its value from one of them and
+returns an :class:`EvalResult` with a conservative absolute-error estimate,
+validated against an independent high-precision oracle on the fixture grid
+shipped with the package (see ``data/accuracy_grid.csv``).
 
 Supported members:
 
@@ -27,8 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-MAX_ORDER = 60.0
-
 
 class DomainError(ValueError):
     """Argument outside the supported domain of an operation."""
@@ -39,22 +38,19 @@ class Kind(enum.Enum):
     BESSEL_Y = "y"
     CYLINDER = "c"
     BESSEL_J_PRIME = "jp"
-    LOMMEL = "lommel"
-    ASSOC_LOMMEL = "assoc-lommel"
 
 
 @dataclass(frozen=True)
 class FunctionId:
-    """Identifies one member of the Bessel/Lommel family.
+    """Identifies one member of the Bessel family.
 
-    ``alpha`` is meaningful only for ``Kind.CYLINDER`` (angle in [0, pi)),
-    ``degree`` only for the Lommel kinds.
+    ``alpha`` is meaningful only for ``Kind.CYLINDER`` (angle in [0, pi)).
+    Lommel polynomials are identified by ``LommelCoefficients`` instead.
     """
 
     kind: Kind
     order: float
     alpha: float | None = None
-    degree: int | None = None
 
     def __post_init__(self):
         if self.kind is Kind.CYLINDER:
@@ -62,18 +58,10 @@ class FunctionId:
                 raise DomainError("cylinder kind requires alpha in [0, pi)")
         elif self.alpha is not None:
             raise DomainError("alpha is only meaningful for the cylinder kind")
-        if self.kind in (Kind.LOMMEL, Kind.ASSOC_LOMMEL):
-            if self.degree is None:
-                raise DomainError("Lommel kinds require a polynomial degree")
-        elif self.degree is not None:
-            raise DomainError("degree is only meaningful for Lommel kinds")
 
     def label(self) -> str:
         if self.kind is Kind.CYLINDER:
             return f"C[nu={self.order:g}, alpha={self.alpha:g}]"
-        if self.kind in (Kind.LOMMEL, Kind.ASSOC_LOMMEL):
-            base = "R*" if self.kind is Kind.ASSOC_LOMMEL else "R"
-            return f"{base}[{self.degree}, nu={self.order:g}]"
         name = {Kind.BESSEL_J: "J", Kind.BESSEL_Y: "Y", Kind.BESSEL_J_PRIME: "J'"}[self.kind]
         return f"{name}[nu={self.order:g}]"
 
@@ -82,11 +70,6 @@ class FunctionId:
 class EvalResult:
     value: float
     abs_error_estimate: float
-
-
-def _check_order(nu: float) -> None:
-    if abs(nu) > MAX_ORDER:
-        raise OverflowError(f"order |nu|={abs(nu):g} exceeds the supported range {MAX_ORDER:g}")
 
 
 def _envelope_j(nu: float, x: float) -> float:
@@ -99,7 +82,7 @@ def _envelope_j(nu: float, x: float) -> float:
     return math.exp(min(t, 700.0))
 
 
-# --- raw vectorized values (no wrapping); used by the zero finder ------------
+# --- raw vectorized values (no wrapping); used by every algorithm ------------
 
 def jv(nu, x):
     return _sp.jv(nu, x)
@@ -113,6 +96,10 @@ def jvp(nu, x):
     return 0.5 * (_sp.jv(nu - 1.0, x) - _sp.jv(nu + 1.0, x))
 
 
+def yvp(nu, x):
+    return 0.5 * (_sp.yv(nu - 1.0, x) - _sp.yv(nu + 1.0, x))
+
+
 def jvpp(nu, x):
     # from the Bessel differential equation
     x = np.asarray(x, dtype=float)
@@ -124,9 +111,7 @@ def cyl(alpha, nu, x):
 
 
 def cylp(alpha, nu, x):
-    jp = 0.5 * (_sp.jv(nu - 1.0, x) - _sp.jv(nu + 1.0, x))
-    yp = 0.5 * (_sp.yv(nu - 1.0, x) - _sp.yv(nu + 1.0, x))
-    return math.cos(alpha) * jp - math.sin(alpha) * yp
+    return math.cos(alpha) * jvp(nu, x) - math.sin(alpha) * yvp(nu, x)
 
 
 def jj_scaled(nu, x):
@@ -145,31 +130,27 @@ def jj_scaled_prime(nu, x):
     return out if out.ndim else float(out)
 
 
-# --- contract-level operations ------------------------------------------------
+# --- contract-level operations: the values above with error estimates -------
 
 def bessel_j(nu: float, x: float) -> EvalResult:
-    """J_nu(x) for nu > -1 (negative integer orders served via reflection)."""
-    _check_order(nu)
+    """J_nu(x) for nu > -1 or a negative integer order; J_nu(0) is infinite for -1 < nu < 0."""
     if x < 0.0:
         raise DomainError("bessel_j requires x >= 0")
+    envelope_order = nu
     if nu <= -1.0:
         if nu != round(nu):
             raise DomainError("bessel_j requires nu > -1 (or a negative integer order)")
-        n = int(round(nu))
-        inner = bessel_j(-float(n), x)
-        sign = -1.0 if n % 2 else 1.0
-        return EvalResult(sign * inner.value, inner.abs_error_estimate)
-    if x == 0.0:
-        value = 1.0 if nu == 0.0 else 0.0
-        return EvalResult(value, 0.0)
-    value = float(_sp.jv(nu, x))
-    est = 2e-13 * (abs(value) + _envelope_j(nu, x))
+        # J_{-n} = (-1)^n J_n has the amplitude of order n
+        envelope_order = -nu
+    elif nu < 0.0 and x == 0.0:
+        raise DomainError("bessel_j at x = 0 requires nu >= 0 or a negative integer order")
+    value = float(jv(nu, x))
+    est = 2e-13 * (abs(value) + _envelope_j(envelope_order, x))
     return EvalResult(value, est)
 
 
 def bessel_j_scaled(nu: float, x: float) -> EvalResult:
     """JJ_nu(x) = Gamma(nu+1) (x/2)^(-nu) J_nu(x), normalized so JJ_nu(0) = 1."""
-    _check_order(nu)
     if nu <= -1.0:
         raise DomainError("bessel_j_scaled requires nu > -1")
     if x < 0.0:
@@ -184,10 +165,9 @@ def bessel_j_scaled(nu: float, x: float) -> EvalResult:
 
 def bessel_y(nu: float, x: float) -> EvalResult:
     """Y_nu(x) for x > 0."""
-    _check_order(nu)
     if x <= 0.0:
         raise DomainError("bessel_y requires x > 0")
-    value = float(_sp.yv(nu, x))
+    value = float(yv(nu, x))
     if x >= max(1.0, abs(nu)):
         env = math.sqrt(2.0 / (math.pi * x))
     else:
@@ -197,32 +177,27 @@ def bessel_y(nu: float, x: float) -> EvalResult:
 
 
 def bessel_j_prime(nu: float, x: float) -> EvalResult:
-    """J'_nu(x) via (J_{nu-1}(x) - J_{nu+1}(x)) / 2."""
-    _check_order(nu + 1.0)
+    """J'_nu(x) via (J_{nu-1}(x) - J_{nu+1}(x)) / 2, wherever J_{nu-1}(x) is finite."""
     if x < 0.0:
         raise DomainError("bessel_j_prime requires x >= 0")
-    if x == 0.0 and nu < 1.0:
-        raise DomainError("bessel_j_prime at x = 0 requires nu >= 1")
-    lo = bessel_j(nu - 1.0, x) if nu - 1.0 > -1.0 or (nu - 1.0) == round(nu - 1.0) else None
-    if lo is None:
-        raise DomainError("bessel_j_prime requires nu > 0 or integer nu")
+    # the domain check on order nu - 1 leaves nu > 0 or an integer nu, and at
+    # x = 0 also refuses 0 < nu < 1, where J'_nu(0) is infinite
+    lo = bessel_j(nu - 1.0, x)
     hi = bessel_j(nu + 1.0, x)
-    value = 0.5 * (lo.value - hi.value)
+    value = float(jvp(nu, x))
     est = 0.5 * (lo.abs_error_estimate + hi.abs_error_estimate)
     return EvalResult(value, est)
 
 
 def cylinder(alpha: float, nu: float, x: float) -> EvalResult:
-    """C_nu^alpha(x) = cos(alpha) J_nu(x) - sin(alpha) Y_nu(x)."""
+    """C_nu^alpha(x) = cos(alpha) J_nu(x) - sin(alpha) Y_nu(x); x > 0 unless alpha = 0."""
     if not 0.0 <= alpha < math.pi:
         raise DomainError("cylinder requires alpha in [0, pi)")
     if alpha == 0.0:
         return bessel_j(nu, x)
-    if x <= 0.0:
-        raise DomainError("cylinder requires x > 0 for alpha > 0")
     j = bessel_j(nu, x)
     y = bessel_y(nu, x)
-    value = math.cos(alpha) * j.value - math.sin(alpha) * y.value
+    value = float(cyl(alpha, nu, x))
     est = abs(math.cos(alpha)) * j.abs_error_estimate + abs(math.sin(alpha)) * y.abs_error_estimate
     return EvalResult(value, est)
 
@@ -268,13 +243,7 @@ def evaluate(fid: FunctionId, x: float) -> EvalResult:
         return bessel_y(fid.order, x)
     if fid.kind is Kind.CYLINDER:
         return cylinder(fid.alpha, fid.order, x)
-    if fid.kind is Kind.BESSEL_J_PRIME:
-        return bessel_j_prime(fid.order, x)
-    from . import lommel as _lommel
-
-    if fid.kind is Kind.LOMMEL:
-        return EvalResult(_lommel.lommel_eval(fid.degree, fid.order, x), 0.0)
-    return EvalResult(_lommel.assoc_eval(fid.degree, fid.order, x), 0.0)
+    return bessel_j_prime(fid.order, x)
 
 
 def value_fn(fid: FunctionId):
@@ -285,9 +254,7 @@ def value_fn(fid: FunctionId):
         return lambda x: yv(fid.order, x)
     if fid.kind is Kind.CYLINDER:
         return lambda x: cyl(fid.alpha, fid.order, x)
-    if fid.kind is Kind.BESSEL_J_PRIME:
-        return lambda x: jvp(fid.order, x)
-    raise DomainError(f"no vectorized evaluator for {fid.label()}")
+    return lambda x: jvp(fid.order, x)
 
 
 def derivative_fn(fid: FunctionId):
@@ -295,9 +262,7 @@ def derivative_fn(fid: FunctionId):
     if fid.kind is Kind.BESSEL_J:
         return lambda x: jvp(fid.order, x)
     if fid.kind is Kind.BESSEL_Y:
-        return lambda x: 0.5 * (yv(fid.order - 1.0, x) - yv(fid.order + 1.0, x))
+        return lambda x: yvp(fid.order, x)
     if fid.kind is Kind.CYLINDER:
         return lambda x: cylp(fid.alpha, fid.order, x)
-    if fid.kind is Kind.BESSEL_J_PRIME:
-        return lambda x: jvpp(fid.order, x)
-    raise DomainError(f"no vectorized evaluator for {fid.label()}")
+    return lambda x: jvpp(fid.order, x)

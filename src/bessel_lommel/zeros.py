@@ -30,9 +30,10 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ZeroList:
-    """Ascending positive zeros of one function, with residual metadata."""
+    """Ascending positive zeros of one function, with residual metadata; `fid` is
+    the function's FunctionId, or the LommelCoefficients whose roots these are."""
 
-    fid: FunctionId
+    fid: FunctionId | _lommel.LommelCoefficients
     zeros: tuple
     residuals: tuple
     method: str
@@ -166,8 +167,6 @@ def zeros(fid: FunctionId, K: int, tolerance: float = 1e-12) -> ZeroList:
     """First K positive zeros of the function identified by `fid`."""
     if K < 0:
         raise DomainError("zeros requires K >= 0")
-    if fid.kind in (Kind.LOMMEL, Kind.ASSOC_LOMMEL):
-        raise DomainError("zeros() takes Bessel kinds only; use lommel_roots for polynomial roots")
     if fid.kind is Kind.BESSEL_J and fid.order <= -1.0:
         raise DomainError("zeros of J_nu require nu > -1")
     if fid.kind is Kind.BESSEL_J_PRIME and fid.order < 0.0:

@@ -235,6 +235,28 @@ def test_common_zero_index_out_of_range_exits_2(capsys, l, k):
     assert err.startswith("domain error: ")
 
 
+@pytest.mark.parametrize("step", ["0", "-0.1"])
+def test_trajectory_non_positive_step_exits_2(capsys, step):
+    code, out, err = run_cli(
+        capsys, "trajectory", "--m", "5", "--nu-from", "5", "--nu-to", "6", "--step", step
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domain error: ") and "step > 0" in err
+
+
+@pytest.mark.parametrize("N", ["50", "0"])
+def test_wronskian_truncation_flag_and_key_obey_one_rule(tmp_path: Path, capsys, N):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n={N}\n")
+    args = ("wronskian", "--m", "3", "--nu", "0.5", "--x", "4.0")
+    for extra in (("--N", N), ("--config", str(cfg))):
+        code, out, err = run_cli(capsys, *args, *extra)
+        assert code == 2
+        assert out == ""
+        assert err == "configuration error: series truncation must be at least 100\n"
+
+
 def test_lommel_roots_deficit_exits_1(capsys):
     # R_{52,51} has 26 positive roots; the solver confirms 22 of them
     code, out, err = run_cli(capsys, "lommel", "--m", "52", "--nu", "51", "--roots")

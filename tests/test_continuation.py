@@ -68,6 +68,15 @@ def test_solve_rejects_indices_out_of_range(l, k):
         bl.solve_nu_star(5, l, k, 5.619, 5.62)
 
 
+@pytest.mark.parametrize("step", [0.0, -0.1])
+def test_order_grid_rejects_non_positive_step(step):
+    # a grid that never advances would grow without end
+    with pytest.raises(DomainError, match="step > 0"):
+        bl.scan_nu_star(4, 2, 6.0, nu_min=5.0, step=step)
+    with pytest.raises(DomainError, match="step > 0"):
+        bl.trace_trajectories(5, (5.0, 6.0), step, k_max=2, l_max=1)
+
+
 def test_root_deficit_raises_on_every_path():
     # near nu = 50 the root solver finds fewer roots of R_{m-1,nu+1} than the
     # (m-1)//2 that theory gives (22 of 26 at m = 53, 20 of 30 at m = 61); scan,

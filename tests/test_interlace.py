@@ -259,6 +259,14 @@ def test_derivative_wronskian_domain():
         bl.derivative_wronskian_series(1, 0.0, 1.0, 500)
 
 
+@pytest.mark.parametrize("N", [0, -3])
+def test_wronskian_series_reject_empty_truncation(N):
+    with pytest.raises(DomainError, match="N >= 1"):
+        bl.wronskian_series(3, 0.5, 4.0, N)
+    with pytest.raises(DomainError, match="N >= 1"):
+        bl.derivative_wronskian_series(2, 1.0, 3.0, N)
+
+
 # --- partial fractions ----------------------------------------------------------
 
 
