@@ -32,14 +32,13 @@ _KIND_BY_FLAG = {
 class RunConfig:
     zero_tol: float = 1e-12
     common_tol: float = 1e-8
-    dedup_tol: float = 1e-7
     series_n: int = 5000
     fmt: str = "json"
     out: str | None = None
     verbose: bool = False
 
     def validate(self) -> None:
-        if min(self.zero_tol, self.common_tol, self.dedup_tol) <= 0.0:
+        if min(self.zero_tol, self.common_tol) <= 0.0:
             raise ValueError("all tolerances must be positive")
         if self.series_n < 100:
             raise ValueError("series truncation must be at least 100")
@@ -99,7 +98,6 @@ _CONFIG_KEYS = {
     "format": ("fmt", str),
     "tol": ("zero_tol", float),
     "common-tol": ("common_tol", float),
-    "dedup-tol": ("dedup_tol", float),
     "n": ("series_n", int),
 }
 
@@ -181,7 +179,6 @@ def _cmd_interlace(args, cfg: RunConfig) -> int:
         args.nu,
         args.k,
         tol=cfg.common_tol,
-        dedup=cfg.dedup_tol,
         alpha=args.alpha or 0.0,
     )
     payload = report.as_dict()

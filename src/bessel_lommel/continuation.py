@@ -39,6 +39,8 @@ class IndexCrossingError(RuntimeError):
 _SLOPE_BOUND = 5.0
 # lowest order of a scan, just above the family's domain floor
 _SCAN_FLOOR = {Family.BESSEL_J: -1.0 + 1.0 / 16.0, Family.CYLINDER: 1e-3}
+# most orders an order grid may hold; each order costs a root solve and a zero search
+_MAX_ORDERS = 10_000
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,19 @@ def _distance(m: int, l: int, k: int, nu: float, alpha: float) -> float:
     return float(pair.poly.roots()[l - 1]) - zeros(pair.base, k).zeros[k - 1]
 
 
+def _check_grid(lo: float, hi: float, step: float) -> None:
+    """Refuse an order grid from lo to hi that runs backwards, never ends or is too
+    long.  A step of one ulp of the endpoint farther from zero moves every order."""
+    if not np.isfinite([lo, hi, step]).all():
+        raise DomainError(f"the order grid requires finite bounds and step: {lo}, {hi}, {step}")
+    if hi < lo:
+        raise DomainError(f"the order grid from {lo:g} to {hi:g} runs backwards")
+    if step < np.spacing(max(abs(lo), abs(hi))):
+        raise DomainError(f"the order grid requires step > 0 that moves the order; got {step:g}")
+    if (hi - lo) / step > _MAX_ORDERS:
+        raise DomainError(f"the order grid exceeds {_MAX_ORDERS} orders at step {step:g}")
+
+
 def _guard_continuity(values, step: float) -> None:
     for a, b in zip(values, values[1:]):
         if abs(b - a) > 2.0 * step * _SLOPE_BOUND:
@@ -114,9 +129,9 @@ def solve_nu_star(
     nu_lo: float,
     nu_hi: float,
     alpha: float = 0.0,
-    residual_tol: float = 1e-8,
 ) -> NuStarSolution:
-    """Refine the order nu* in [nu_lo, nu_hi] where rho_{m-1,nu,l} = base zero k.
+    """Refine the order nu* in [nu_lo, nu_hi] where rho_{m-1,nu,l} = base zero k;
+    accept it only if `Pair.common` takes x* for a common zero.
 
     `scipy.optimize` is imported on first use, so the first solve in a
     process pays that import.
@@ -145,9 +160,9 @@ def solve_nu_star(
     x_star = zeros(pair.base, k).zeros[k - 1]
     res_lo = abs(float(_special.value_fn(pair.base)(x_star)))
     res_hi = abs(float(_special.value_fn(pair.shifted)(x_star)))
-    if res_lo > residual_tol or res_hi > residual_tol:
+    if not pair.common([x_star])[0]:
         raise BracketError(
-            f"solved nu*={nu_star:.12g} violates the residual contract: "
+            f"solved nu*={nu_star:.12g} gives no common zero: residuals "
             f"{res_lo:.3g}, {res_hi:.3g}"
         )
     return NuStarSolution(m, l, k, float(nu_star), float(x_star), res_lo, res_hi, (nu_lo, nu_hi), alpha)
@@ -187,18 +202,17 @@ def find_in_bracket(
     nu_lo: float,
     nu_hi: float,
     alpha: float = 0.0,
-    k_search: int = 40,
 ) -> list:
     """All (l, k) crossings inside a bracket, without presuming the pair.
 
-    Evaluates every root of the compensating polynomial and the first
-    `k_search` base zeros at both endpoints and refines each pair whose
-    distance changes sign.
+    Evaluates every root of the compensating polynomial and the first 40
+    base zeros at both endpoints and refines each pair whose distance changes
+    sign.
     """
     if m < 3:
         raise DomainError("common zeros require m >= 3")
     nus = [nu_lo, nu_hi]
-    rho, base, _ = _table(m, nus, k_search, _pair(m, nu_lo, alpha).max_common, alpha)
+    rho, base, _ = _table(m, nus, 40, _pair(m, nu_lo, alpha).max_common, alpha)
     return _crossings(m, nus, rho, base, alpha)
 
 
@@ -213,12 +227,11 @@ def scan_nu_star(
     """All crossings d(nu) = 0 with k <= k_max on a step-`step` order grid."""
     if m < 3:
         raise DomainError("common zeros require m >= 3")
-    if step <= 0.0:
-        raise DomainError("the order grid requires step > 0")
-    if k_max < 1:
-        return []
     nu_floor = _SCAN_FLOOR[_family(alpha)]
     lo = nu_floor if nu_min is None else max(nu_min, nu_floor)
+    _check_grid(lo, nu_max, step)
+    if k_max < 1:
+        return []
     if nu_max <= lo:
         return []
 
@@ -238,9 +251,8 @@ def trace_trajectories(
     alpha: float = 0.0,
 ) -> TraceResult:
     """Zero and root trajectories in the (nu, x)-plane, with crossings annotated."""
-    if step <= 0.0:
-        raise DomainError("the order grid requires step > 0")
     lo, hi = nu_range
+    _check_grid(lo, hi, step)
     nus = [lo]
     while nus[-1] + step <= hi + 1e-12:
         nus.append(nus[-1] + step)

@@ -103,6 +103,27 @@ class Pair:
         """Bound on the number of common zeros: half the polynomial's degree, rounded down."""
         return self.poly.m // 2
 
+    def common(self, xs, tol: float = 1e-8) -> np.ndarray:
+        """The one common-zero test: which base zeros `xs` give both the polynomial and
+        the shifted function a scaled residual |g(x)| / max(1, |g'(x)|) below `tol`.
+        More than `max_common` hits is a RuntimeError."""
+        hval = _special.value_fn(self.shifted)
+        hder = _special.derivative_fn(self.shifted)
+        mask = np.asarray(
+            [
+                abs(self.poly(x)) / max(1.0, abs(self.poly.prime(x))) < tol
+                and abs(float(hval(x))) / max(1.0, abs(float(hder(x)))) < tol
+                for x in xs
+            ],
+            dtype=bool,
+        )
+        if mask.sum() > self.max_common:
+            raise RuntimeError(
+                f"detected {mask.sum()} common zeros but at most {self.max_common} are possible; "
+                "the tolerance is too loose"
+            )
+        return mask
+
 
 class Source(enum.Enum):
     HIGHER_ORDER_ZERO = "higher-order-zero"
@@ -117,7 +138,6 @@ class MergedZeros:
     family: Family
     entries: tuple  # of (value, Source), ascending
     alpha: float = 0.0
-    warnings: tuple = ()
 
     def values(self) -> np.ndarray:
         return np.asarray([v for v, _ in self.entries], dtype=float)
@@ -190,26 +210,6 @@ class PartialFractionResult:
 # --- operations ----------------------------------------------------------------
 
 
-def _common_mask(pair: Pair, base_list, tol: float) -> np.ndarray:
-    """Which zeros of `base_list` are common zeros (see `detect_common_zeros`)."""
-    hval = _special.value_fn(pair.shifted)
-    hder = _special.derivative_fn(pair.shifted)
-    mask = np.asarray(
-        [
-            abs(pair.poly(x)) / max(1.0, abs(pair.poly.prime(x))) < tol
-            and abs(float(hval(x))) / max(1.0, abs(float(hder(x)))) < tol
-            for x in base_list.zeros
-        ],
-        dtype=bool,
-    )
-    if mask.sum() > pair.max_common:
-        raise RuntimeError(
-            f"detected {mask.sum()} common zeros but at most {pair.max_common} are possible; "
-            "the tolerance is too loose"
-        )
-    return mask
-
-
 def detect_common_zeros(
     family: Family,
     m: int,
@@ -218,46 +218,35 @@ def detect_common_zeros(
     tol: float = 1e-8,
     alpha: float = 0.0,
 ) -> CommonZeroSet:
-    """Base-function zeros at which the higher-order function also vanishes.
-
-    A base zero x qualifies when both the compensating polynomial and the
-    higher-order function have scaled residual below `tol` at x; the scaled
-    residual of g is |g(x)| / max(1, |g'(x)|).
-    """
+    """Base-function zeros at which the higher-order function also vanishes,
+    among the first K, as decided by `Pair.common`."""
     pair = Pair(family, m, nu, alpha)
     base_list = zeros(pair.base, K)
     bval = _special.value_fn(pair.base)
     hval = _special.value_fn(pair.shifted)
     points = tuple(
         (x, abs(float(bval(x))), abs(float(hval(x))))
-        for x, common in zip(base_list.zeros, _common_mask(pair, base_list, tol))
+        for x, common in zip(base_list.zeros, pair.common(base_list.zeros, tol))
         if common
     )
     return CommonZeroSet(family, m, nu, points, tol, alpha)
 
 
-def _merged(pair: Pair, K: int, dedup: float) -> MergedZeros:
-    tagged = [(float(x), Source.HIGHER_ORDER_ZERO) for x in zeros(pair.shifted, K).zeros]
-    tagged += [(float(r), Source.LOMMEL_ROOT) for r in pair.poly.roots()]
+def _merged(pair: Pair, K: int, common) -> MergedZeros:
+    """The first K shifted zeros and the roots; a common zero with a partner, the shifted
+    zero within 0.5 (zeros lie at least 1 apart), tags it and drops its nearest root."""
+    high = zeros(pair.shifted, K).as_array()
+    roots = pair.poly.roots()
+    sources = [Source.HIGHER_ORDER_ZERO] * high.size
+    for c in common:
+        partner = np.flatnonzero(np.abs(high - c) <= 0.5)
+        if partner.size:
+            sources[partner[0]] = Source.COMMON_ZERO
+            roots = np.delete(roots, np.argmin(np.abs(roots - c)))
+    tagged = [(float(x), src) for x, src in zip(high, sources)]
+    tagged += [(float(r), Source.LOMMEL_ROOT) for r in roots]
     tagged.sort(key=lambda entry: entry[0])
-
-    entries: list = []
-    warnings: list = []
-    for x, src in tagged:
-        if entries:
-            last_x, last_src = entries[-1]
-            gap = abs(x - last_x)
-            scale = max(1.0, abs(x))
-            if gap <= dedup * scale and last_src is not src:
-                entries[-1] = (last_x, Source.COMMON_ZERO)
-                continue
-            if gap <= 100.0 * dedup * scale and last_src is not src:
-                warnings.append(
-                    f"near-coincidence between {last_src.value} {last_x:.12g} "
-                    f"and {src.value} {x:.12g}"
-                )
-        entries.append((x, src))
-    return MergedZeros(pair.m, pair.nu, pair.family, tuple(entries), pair.alpha, tuple(warnings))
+    return MergedZeros(pair.m, pair.nu, pair.family, tuple(tagged), pair.alpha)
 
 
 def merged_sequence(
@@ -265,16 +254,14 @@ def merged_sequence(
     m: int,
     nu: float,
     K: int,
-    dedup: float = 1e-7,
     alpha: float = 0.0,
 ) -> MergedZeros:
-    """Ascending merge of the higher-order zeros with the polynomial roots.
-
-    Entries closer than the relative dedup threshold collapse into a single
-    COMMON_ZERO entry; any near-coincidence within 100x the threshold is
-    reported as a warning instead of being silently resolved.
-    """
-    return _merged(Pair(family, m, nu, alpha), K, dedup)
+    """Ascending merge of the first K higher-order zeros with the polynomial roots,
+    each common zero once, as COMMON_ZERO.  `Pair.common` tests the first K +
+    max_common base zeros, which hold every common zero among the shifted ones."""
+    pair = Pair(family, m, nu, alpha)
+    base = zeros(pair.base, K + pair.max_common).as_array()
+    return _merged(pair, K, base[pair.common(base)])
 
 
 def _report(pair: Pair, pattern: str, lower, middle, common: tuple = ()) -> InterlaceReport:
@@ -317,20 +304,18 @@ def verify_generalized_interlacing(
     nu: float,
     K: int,
     tol: float = 1e-8,
-    dedup: float = 1e-7,
     alpha: float = 0.0,
 ) -> InterlaceReport:
     """Alternation of the base zeros (common zeros removed) with the merged set.
 
-    Finds the base zeros, the shifted zeros and the polynomial roots once each.
+    Finds each list once; `Pair.common` decides the common zeros for both lists.
     """
     pair = Pair(family, m, nu, alpha)
     if K < 3:
         raise DomainError("interlacing verification needs K >= 3")
-    base_list = zeros(pair.base, K)
-    base = base_list.as_array()
-    common = _common_mask(pair, base_list, tol)
-    merged = _merged(pair, K, dedup)
+    base = zeros(pair.base, K).as_array()
+    common = pair.common(base, tol)
+    merged = _merged(pair, K, base[common])
     has_poly = any(src is not Source.HIGHER_ORDER_ZERO for _, src in merged.entries)
     pattern = "generalized" if (has_poly or common.any()) else "classical"
     skipped = tuple(float(c) for c in base[common])
@@ -342,7 +327,7 @@ def no_consecutive_common_zeros(
 ) -> bool:
     """No two adjacent base zeros are both common zeros."""
     pair = Pair(family, m, nu, alpha)
-    flags = _common_mask(pair, zeros(pair.base, K), tol)
+    flags = pair.common(zeros(pair.base, K).zeros, tol)
     return not bool((flags[:-1] & flags[1:]).any())
 
 
@@ -353,15 +338,16 @@ def common_zero_sandwich(
 
         high_{k-1} < base_{s-1} < zeta < base_{s+1} < high_{k+1},
 
-    with the convention high_0 = base_0 = 0 for the leading indices.
+    with the convention high_0 = base_0 = 0 for the leading indices; base_s,
+    the base zero nearest zeta, must pass `Pair.common`.
     """
     pair = Pair(family, m, nu, alpha)
     base = zeros(pair.base, K).as_array()
     high = zeros(pair.shifted, K).as_array()
     s = int(np.argmin(np.abs(base - zeta)))
-    k = int(np.argmin(np.abs(high - zeta)))
-    if abs(base[s] - zeta) > 1e-6 * zeta or abs(high[k] - zeta) > 1e-6 * zeta:
+    if not pair.common(base[s : s + 1])[0]:
         raise ValueError("zeta is not a common zero of the base and higher-order functions")
+    k = int(np.argmin(np.abs(high - base[s])))
     lo_high = high[k - 1] if k >= 1 else 0.0
     lo_base = base[s - 1] if s >= 1 else 0.0
     if s + 1 >= base.size or k + 1 >= high.size:
@@ -382,6 +368,25 @@ def _tail_bound_factor(x: float, zs: np.ndarray) -> float:
     return (1.0 / 3.0) * jn / (jn * jn - x * x)
 
 
+def _wronskian(m, nu, x, N, f, fp, poly, s2, extra) -> WronskianSample:
+    """W[f, poly * J_{nu+m}](x) from f and its derivative fp at x, and its series form
+    with the weighted sum s2 and the term `extra` (0.0 for J, which keeps the bits)."""
+    zs = zeros(FunctionId(Kind.BESSEL_J, nu + m), N).as_array()
+    near = bool(np.min(np.abs(x - zs)) < 1e-6)
+
+    jm = float(_special.jv(nu + m, x))
+    jmp = float(_special.jvp(nu + m, x))
+    R = float(poly(x))
+    Rp = float(poly.prime(x))
+
+    direct = f * (Rp * jm + R * jmp) - fp * R * jm
+
+    s1 = float(np.sum((x * x + zs * zs) / (x * x - zs * zs) ** 2))
+    series = 2.0 * jm * jm * (R * R * s1 + s2 / (x * x) + extra)
+    tail = 2.0 * jm * jm * R * R * _tail_bound_factor(x, zs)
+    return WronskianSample(x, direct, series, N, tail, near)
+
+
 def wronskian_series(m: int, nu: float, x: float, N: int) -> WronskianSample:
     """W[J_nu, R_{m-1,nu+1} J_{nu+m}](x): analytic derivative form vs series form.
 
@@ -395,25 +400,11 @@ def wronskian_series(m: int, nu: float, x: float, N: int) -> WronskianSample:
     """
     if nu <= -1.0 or m < 1 or x <= 0.0 or N < 1:
         raise DomainError("wronskian_series requires nu > -1, m >= 1, x > 0, N >= 1")
-    zs = zeros(FunctionId(Kind.BESSEL_J, nu + m), N).as_array()
-    near = bool(np.min(np.abs(x - zs)) < 1e-6)
-
-    jm = float(_special.jv(nu + m, x))
-    jmp = float(_special.jvp(nu + m, x))
-    jn = float(_special.jv(nu, x))
-    jnp_ = float(_special.jvp(nu, x))
-    R = float(_lommel.lommel_eval(m - 1, nu + 1.0, x))
-    Rp = float(_lommel.lommel_prime(m - 1, nu + 1.0, x))
-
-    direct = jn * (Rp * jm + R * jmp) - jnp_ * R * jm
-
-    s1 = float(np.sum((x * x + zs * zs) / (x * x - zs * zs) ** 2))
     s2 = sum(
         (nu + k + 1.0) * float(_lommel.lommel_eval(k, nu + 1.0, x)) ** 2 for k in range(m)
     )
-    series = 2.0 * jm * jm * (R * R * s1 + s2 / (x * x))
-    tail = 2.0 * jm * jm * R * R * _tail_bound_factor(x, zs)
-    return WronskianSample(x, direct, series, N, tail, near)
+    f, fp = float(_special.jv(nu, x)), float(_special.jvp(nu, x))
+    return _wronskian(m, nu, x, N, f, fp, _lommel.lommel_coefficients(m - 1, nu + 1.0), s2, 0.0)
 
 
 def derivative_wronskian_series(m: int, nu: float, x: float, N: int) -> WronskianSample:
@@ -426,23 +417,10 @@ def derivative_wronskian_series(m: int, nu: float, x: float, N: int) -> Wronskia
         raise DomainError("derivative_wronskian_series requires x > 0, N >= 1")
     if not (nu > 0.0 and m >= 0) and not (nu == 0.0 and m >= 2):
         raise DomainError("requires nu > 0 with m >= 0, or nu = 0 with m >= 2")
-    zs = zeros(FunctionId(Kind.BESSEL_J, nu + m), N).as_array()
-    near = bool(np.min(np.abs(x - zs)) < 1e-6)
-
-    jm = float(_special.jv(nu + m, x))
-    jmp = float(_special.jvp(nu + m, x))
-    jp = float(_special.jvp(nu, x))
-    jpp = float(_special.jvpp(nu, x))
-    Rs = float(_lommel.assoc_eval(m, nu, x))
-    Rsp = float(_lommel.assoc_prime(m, nu, x))
-
-    direct = jp * (Rsp * jm + Rs * jmp) - jpp * Rs * jm
-
-    s1 = float(np.sum((x * x + zs * zs) / (x * x - zs * zs) ** 2))
     s2 = sum((nu + k) * float(_lommel.assoc_eval(k, nu, x)) ** 2 for k in range(1, m + 1))
-    series = 2.0 * jm * jm * (Rs * Rs * s1 + s2 / (x * x) + nu / (2.0 * x * x))
-    tail = 2.0 * jm * jm * Rs * Rs * _tail_bound_factor(x, zs)
-    return WronskianSample(x, direct, series, N, tail, near)
+    f, fp = float(_special.jvp(nu, x)), float(_special.jvpp(nu, x))
+    poly = _lommel.lommel_coefficients(m, nu, _lommel.PolyKind.ASSOCIATED)
+    return _wronskian(m, nu, x, N, f, fp, poly, s2, nu / (2.0 * x * x))
 
 
 def partial_fraction_check(nu: float, x: float, N: int) -> PartialFractionResult:
@@ -543,14 +521,12 @@ def cylinder_prefix_alternation(alpha: float, nu: float, m: int) -> CylinderPref
     return CylinderPrefixReport(alpha, nu, m, n_base, n_poly, count_ok, alternation_ok, claims)
 
 
-def cylinder_wronskian_positivity(
-    alpha: float, nu: float, m: int, n_samples: int = 60, span: float = 30.0
-) -> bool:
+def cylinder_wronskian_positivity(alpha: float, nu: float, m: int) -> bool:
     """x * W[C_{nu+m-1}, C_{nu+m}](x) > 0 past the first zero of C_{nu+m-1}."""
     if nu <= 0.0:
         raise DomainError("requires nu > 0")
     c1 = zeros(FunctionId(Kind.CYLINDER, nu + m - 1.0, alpha=alpha), 1).zeros[0]
-    xs = np.linspace(c1 + 1e-3, c1 + span, n_samples)
+    xs = np.linspace(c1 + 1e-3, c1 + 30.0, 60)
     f = _special.cyl(alpha, nu + m - 1.0, xs)
     fp = _special.cylp(alpha, nu + m - 1.0, xs)
     g = _special.cyl(alpha, nu + m, xs)

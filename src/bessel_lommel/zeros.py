@@ -256,12 +256,12 @@ def series_derivative(nu: float, j: float) -> float:
     return 2.0 * total / j
 
 
-def dj_dnu(nu: float, k: int, fd_step: float = 1e-4) -> OrderDerivative:
+def dj_dnu(nu: float, k: int) -> OrderDerivative:
     """Order-derivative of the k-th positive zero of J_nu by three routes."""
     if nu <= 0.0:
         raise DomainError("dj_dnu requires nu > 0")
     j = _jzero(nu, k)
-    fd = (_jzero(nu + fd_step, k) - _jzero(nu - fd_step, k)) / (2.0 * fd_step)
+    fd = (_jzero(nu + 1e-4, k) - _jzero(nu - 1e-4, k)) / 2e-4
     series = series_derivative(nu, j)
     watson = watson_derivative(nu, j)
     values = (fd, series, watson)

@@ -169,7 +169,7 @@ def test_config_file_and_flag_precedence(tmp_path: Path, capsys):
     json.loads(out)
 
 
-@pytest.mark.parametrize("line", ["common_tol=0.5", "jobs=0"])
+@pytest.mark.parametrize("line", ["common_tol=0.5", "jobs=0", "dedup-tol=1e-7"])
 def test_unknown_config_key_exits_2(tmp_path: Path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"format=csv\n{line}\n")
@@ -183,7 +183,7 @@ def test_unknown_config_key_exits_2(tmp_path: Path, capsys, line):
 
 def test_config_keys_valid_for_every_subcommand(tmp_path: Path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("tol=1e-10\ncommon-tol=1e-9\ndedup-tol=1e-8\nn=2000\nformat=csv\n")
+    cfg.write_text("tol=1e-10\ncommon-tol=1e-9\nn=2000\nformat=csv\n")
     code, out, _ = run_cli(capsys, "eta", "--n", "4", "--config", str(cfg))
     assert code == 0
     assert out.splitlines()[0] == "l,eta"
@@ -243,6 +243,33 @@ def test_trajectory_non_positive_step_exits_2(capsys, step):
     assert code == 2
     assert out == ""
     assert err.startswith("domain error: ") and "step > 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trajectory", "--m", "5", "--nu-from", "5", "--nu-to", "6", "--step", "1e-17"),
+        ("trajectory", "--m", "5", "--nu-from", "5", "--nu-to", "inf", "--step", "0.125"),
+        ("trajectory", "--m", "5", "--nu-from", "6", "--nu-to", "5", "--step", "0.125"),
+        ("common-zero", "--m", "4", "--scan", "--nu-max", "inf", "--k-max", "1"),
+    ],
+)
+def test_order_grid_that_never_ends_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domain error: the order grid")
+
+
+def test_interlace_near_crossing_order_exits_0(capsys):
+    # 1e-7 above nu* for m = 5 there is no common zero, but the merge once took
+    # a root and a shifted zero for one and reported a violation
+    code, out, _ = run_cli(
+        capsys, "interlace", "--family", "j", "--m", "5", "--nu", "5.6198123957", "--k", "20"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] and report["violations"] == [] and report["common_zeros"] == []
 
 
 @pytest.mark.parametrize("N", ["50", "0"])

@@ -77,6 +77,28 @@ def test_order_grid_rejects_non_positive_step(step):
         bl.trace_trajectories(5, (5.0, 6.0), step, k_max=2, l_max=1)
 
 
+@pytest.mark.parametrize(
+    "nu_from, nu_to, step, match",
+    [
+        (5.0, math.inf, 0.125, "finite"),
+        (5.0, 6.0, math.nan, "finite"),
+        (6.0, 5.0, 0.125, "runs backwards"),
+        (5.0, 6.0, 1e-17, "step > 0"),
+        # moves nu_from but not 8.0, where the grid would stall
+        (8.0 - 1e-15, 8.0 + 1e-13, 5e-16, "step > 0"),
+        (5.0, 6.0, 1e-9, "exceeds 10000 orders"),
+    ],
+    ids=["infinite-end", "nan-step", "reversed", "step-below-ulp", "stalls-at-8", "too-long"],
+)
+def test_order_grid_rejects_grids_that_never_end(nu_from, nu_to, step, match):
+    # each grid would grow without end, run out of memory or, reversed, hold
+    # one order
+    with pytest.raises(DomainError, match=match):
+        bl.scan_nu_star(4, 2, nu_to, nu_min=nu_from, step=step)
+    with pytest.raises(DomainError, match=match):
+        bl.trace_trajectories(5, (nu_from, nu_to), step, k_max=2, l_max=1)
+
+
 def test_root_deficit_raises_on_every_path():
     # near nu = 50 the root solver finds fewer roots of R_{m-1,nu+1} than the
     # (m-1)//2 that theory gives (22 of 26 at m = 53, 20 of 30 at m = 61); scan,

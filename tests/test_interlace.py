@@ -158,6 +158,32 @@ def test_common_zero_sandwich_at_crossing():
     assert bl.common_zero_sandwich(Family.BESSEL_J, 5, NU_STAR_M5, 26.294110115998)
 
 
+# orders within about 1e-6 of NU_STAR_M5, where a root of R_{4,nu+1} and a zero
+# of J_{nu+5} lie so close to a zero of J_nu that a second common-zero rule
+# (a relative gap in the merge) disagreed with the base list's
+NEAR_NU_STAR_M5 = (-1e-6, -3e-7, -1e-7, 1e-7, 3e-7, 1e-6)
+
+
+@pytest.mark.parametrize("d", NEAR_NU_STAR_M5)
+def test_generalized_holds_near_crossing_order(d):
+    rep = bl.verify_generalized_interlacing(Family.BESSEL_J, 5, NU_STAR_M5 + d, 20)
+    assert rep.ok and rep.violations == ()
+
+
+@pytest.mark.parametrize("d", NEAR_NU_STAR_M5)
+def test_sandwich_refuses_a_point_that_is_no_common_zero(d):
+    with pytest.raises(ValueError, match="not a common zero"):
+        bl.common_zero_sandwich(Family.BESSEL_J, 5, NU_STAR_M5 + d, 26.294110115998)
+
+
+@pytest.mark.parametrize("d", (-3e-6, -1e-8, 1e-8, 3e-6) + NEAR_NU_STAR_M5)
+def test_merged_common_zeros_match_detected_ones(d):
+    nu = NU_STAR_M5 + d
+    ms = bl.merged_sequence(Family.BESSEL_J, 5, nu, 20)
+    tagged = sum(src is Source.COMMON_ZERO for _, src in ms.entries)
+    assert tagged == len(bl.detect_common_zeros(Family.BESSEL_J, 5, nu, 20))
+
+
 def test_derivative_family_breakdown_at_shift_two():
     # the unique positive root of the degree-2 associated polynomial splits a
     # pair of consecutive J' zeros that plain interlacing cannot accommodate
