@@ -34,6 +34,7 @@ from .zeros import (
     ZeroList,
     cylinder_zero_monotonicity,
     dj_dnu,
+    zero_table,
     zeros,
 )
 from .interlace import (

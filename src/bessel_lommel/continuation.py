@@ -9,7 +9,8 @@ is continuous in nu, and a sign change over a bracket pins a crossing point
 nu*.  Both branches are tracked with an index-continuity guard so that a
 sign change is never manufactured by a root or zero swapping identity inside
 the bracket.  The same machinery runs for cylinder functions with c_{nu,k}
-in place of j_{nu,k}.
+in place of j_{nu,k}.  Each order grid, a solve's included, gets its zeros
+from one `zero_table` call per function, so its orders share one refinement.
 
 Solved orders are verified against both function residuals; the crossing
 orders are irrational (no rational order can produce a common zero), which is
@@ -25,7 +26,7 @@ import numpy as np
 from . import special as _special
 from .interlace import Family, Pair
 from .special import DomainError
-from .zeros import zeros
+from .zeros import zero_table, zeros
 
 
 class BracketError(ValueError):
@@ -92,11 +93,15 @@ def _pair(m: int, nu: float, alpha: float) -> Pair:
     return Pair(_family(alpha), m, nu, alpha)
 
 
+def _check_index(pair: Pair, l: int, k: int) -> None:
+    if not 1 <= l <= pair.max_common or k < 1:
+        raise DomainError(f"need 1 <= l <= {pair.max_common} and k >= 1; got l={l}, k={k}")
+
+
 def _distance(m: int, l: int, k: int, nu: float, alpha: float) -> float:
     """rho_{m-1,nu,l} - (k-th base zero); checks l and k for every `solve_nu_star` step."""
     pair = _pair(m, nu, alpha)
-    if not 1 <= l <= pair.max_common or k < 1:
-        raise DomainError(f"need 1 <= l <= {pair.max_common} and k >= 1; got l={l}, k={k}")
+    _check_index(pair, l, k)
     return float(pair.poly.roots()[l - 1]) - zeros(pair.base, k).zeros[k - 1]
 
 
@@ -140,12 +145,14 @@ def solve_nu_star(
 
     if m < 3:
         raise DomainError("common zeros require m >= 3")
-    _pair(m, nu_lo, alpha)  # checks the family's domain
+    pair = _pair(m, nu_lo, alpha)  # checks the family's domain
     if nu_hi <= nu_lo:
         raise DomainError("bracket must satisfy nu_lo < nu_hi")
+    _check_index(pair, l, k)
 
     grid = np.linspace(nu_lo, nu_hi, 9)
-    dvals = [_distance(m, l, k, float(nu), alpha) for nu in grid]
+    rho, base, _ = _table(m, grid.tolist(), k, l, alpha)
+    dvals = (rho[:, l - 1] - base[:, k - 1]).tolist()
     _guard_continuity(dvals, float(grid[1] - grid[0]))
     if dvals[0] * dvals[-1] > 0.0:
         raise BracketError(
@@ -153,9 +160,9 @@ def solve_nu_star(
             "have the same sign"
         )
 
-    nu_star = brentq(
-        lambda nu: _distance(m, l, k, nu, alpha), nu_lo, nu_hi, xtol=1e-12, rtol=8.9e-16
-    )
+    ends = {nu_lo: dvals[0], nu_hi: dvals[-1]}  # linspace keeps both ends exact
+    d = lambda nu: ends[nu] if nu in ends else _distance(m, l, k, nu, alpha)
+    nu_star = brentq(d, nu_lo, nu_hi, xtol=1e-12, rtol=8.9e-16)
     pair = _pair(m, nu_star, alpha)
     x_star = zeros(pair.base, k).zeros[k - 1]
     res_lo = abs(float(_special.value_fn(pair.base)(x_star)))
@@ -171,15 +178,10 @@ def solve_nu_star(
 def _table(m: int, nus, k_max: int, n_roots: int, alpha: float, shifted: bool = False):
     """The first `n_roots` polynomial roots, the first `k_max` base zeros and, with
     `shifted`, the first `k_max` shifted zeros at each order: one row per order."""
-    rho = np.empty((len(nus), n_roots))
-    base = np.empty((len(nus), k_max))
-    high = np.empty((len(nus), k_max)) if shifted else None
-    for i, nu in enumerate(nus):
-        pair = _pair(m, nu, alpha)
-        rho[i] = pair.poly.roots()[:n_roots]
-        base[i] = zeros(pair.base, k_max).as_array()
-        if shifted:
-            high[i] = zeros(pair.shifted, k_max).as_array()
+    pairs = [_pair(m, nu, alpha) for nu in nus]
+    rho = np.array([pair.poly.roots()[:n_roots] for pair in pairs]).reshape(len(nus), n_roots)
+    base = zero_table([pair.base for pair in pairs], k_max)
+    high = zero_table([pair.shifted for pair in pairs], k_max) if shifted else None
     return rho, base, high
 
 
@@ -254,8 +256,8 @@ def trace_trajectories(
     lo, hi = nu_range
     _check_grid(lo, hi, step)
     nus = [lo]
-    while nus[-1] + step <= hi + 1e-12:
-        nus.append(nus[-1] + step)
+    while nus[-1] + step <= hi + 1e-9 * step:
+        nus.append(min(nus[-1] + step, hi))
     n_roots = min(l_max, _pair(m, lo, alpha).max_common)
     rho, base, high = _table(m, nus, k_max, n_roots, alpha, shifted=True)
 

@@ -3,7 +3,9 @@
 Zeros are located by a vectorized scan-and-bisect: march from a safe starting
 abscissa in half-pi steps until enough sign changes are bracketed, then refine
 every bracket by bisection followed by a Newton polish with the analytic
-derivative.  Large-index runs of J_nu zeros switch to asymptotic initial
+derivative.  `zero_table` scans each order of a grid on its own and refines
+the brackets of all of them in one pass, which gives every zero the bits of a
+one-order call.  Large-index runs of J_nu zeros switch to asymptotic initial
 guesses, which are still verified by sign changes and residual checks before
 being accepted.
 
@@ -161,33 +163,37 @@ def _validate_run(f, xs: np.ndarray) -> None:
 
 
 _BULK_SWITCH = 80
+_BATCH_BRACKETS = 4096  # bounds the temporaries of one refinement pass on long grids
 
 
-def zeros(fid: FunctionId, K: int, tolerance: float = 1e-12) -> ZeroList:
-    """First K positive zeros of the function identified by `fid`."""
+def _check_domain(fid: FunctionId, K: int) -> None:
     if K < 0:
         raise DomainError("zeros requires K >= 0")
     if fid.kind is Kind.BESSEL_J and fid.order <= -1.0:
         raise DomainError("zeros of J_nu require nu > -1")
     if fid.kind is Kind.BESSEL_J_PRIME and fid.order < 0.0:
         raise DomainError("zeros of J'_nu require nu >= 0")
+
+
+def zeros(fid: FunctionId, K: int, tolerance: float = 1e-12) -> ZeroList:
+    """First K positive zeros of the function identified by `fid`."""
+    _check_domain(fid, K)
     if K == 0:
         return ZeroList(fid, (), (), "none requested", tolerance)
 
     f = _special.value_fn(fid)
     fp = _special.derivative_fn(fid)
-    x0 = _scan_start(fid)
 
     xs = None
     if fid.kind is Kind.BESSEL_J and K > _BULK_SWITCH:
         head_n = max(12, int(math.ceil(max(fid.order, 0.0))) + 4)
-        head, _ = _scan_and_refine(f, fp, x0, head_n, tolerance)
+        head, _ = _scan_and_refine([fid], head_n, tolerance)
         ks = np.arange(head_n + 1, K + 1, dtype=float)
         guess = _mcmahon_j(fid.order, ks)
         tail = guess.copy()
         for _ in range(4):
             tail = tail - np.asarray(f(tail), dtype=float) / np.asarray(fp(tail), dtype=float)
-        xs = np.concatenate([head, tail])
+        xs = np.concatenate([head[0], tail])
         try:
             _validate_run(f, xs)
             res = np.abs(np.asarray(f(xs), dtype=float))
@@ -198,9 +204,9 @@ def zeros(fid: FunctionId, K: int, tolerance: float = 1e-12) -> ZeroList:
         except ConvergenceError:
             xs = None
     if xs is None:
-        xs, res = _scan_and_refine(f, fp, x0, K, tolerance)
+        rows, res = _scan_and_refine([fid], K, tolerance)
+        xs, res = rows[0], res[0]
         method = "scan + bisection/Newton"
-        _validate_run(f, xs)
 
     return ZeroList(
         fid=fid,
@@ -211,14 +217,37 @@ def zeros(fid: FunctionId, K: int, tolerance: float = 1e-12) -> ZeroList:
     )
 
 
-def _scan_and_refine(f, fp, x0: float, K: int, tolerance: float):
-    """The first K zeros past x0 and their absolute residuals."""
-    limit = x0 + (K + 20) * math.pi * 2.0 + 100.0
-    return _refine_brackets(f, fp, _scan_brackets(f, x0, K, math.pi / 2.0, limit), tolerance)
+def zero_table(fids, K: int) -> np.ndarray:
+    """`zeros(fid, K).zeros` for each fid of a sequence, bit for bit, as rows.  The fids
+    share one kind and alpha; J_nu rows of more than `_BULK_SWITCH` zeros go to `zeros()`
+    one by one, the others share passes of at most `_BATCH_BRACKETS` brackets."""
+    for fid in fids:
+        _check_domain(fid, K)
+    if len({(fid.kind, fid.alpha) for fid in fids}) > 1:
+        raise DomainError("zero_table requires one kind and one alpha")
+    if K == 0 or not fids:
+        return np.empty((len(fids), K))
+    if fids[0].kind is Kind.BESSEL_J and K > _BULK_SWITCH:
+        return np.array([zeros(fid, K).zeros for fid in fids])
+    n = max(1, _BATCH_BRACKETS // K)  # rows per pass; 1e-12 is the default tolerance of zeros()
+    parts = [_scan_and_refine(fids[i : i + n], K, 1e-12)[0] for i in range(0, len(fids), n)]
+    return np.concatenate(parts)
 
 
-def _jzero(nu: float, k: int, tolerance: float = 1e-12) -> float:
-    return zeros(FunctionId(Kind.BESSEL_J, nu), k, tolerance).zeros[k - 1]
+def _scan_and_refine(fids, K: int, tolerance: float):
+    """The first K zeros of each fid and their residuals, one validated row per fid: each
+    fid is scanned alone, and all the brackets share one refinement over an order column."""
+    brackets = []
+    for fid in fids:
+        x0 = _scan_start(fid)
+        limit = x0 + (K + 20) * math.pi * 2.0 + 100.0
+        brackets += _scan_brackets(_special.value_fn(fid), x0, K, math.pi / 2.0, limit)
+    col = FunctionId(fids[0].kind, np.repeat([fid.order for fid in fids], K), fids[0].alpha)
+    xs, res = _refine_brackets(_special.value_fn(col), _special.derivative_fn(col), brackets, tolerance)
+    xs, res = xs.reshape(len(fids), K), res.reshape(len(fids), K)
+    for fid, row in zip(fids, xs):
+        _validate_run(_special.value_fn(fid), row)
+    return xs, res
 
 
 def watson_derivative(nu: float, c: float) -> float:
@@ -260,8 +289,9 @@ def dj_dnu(nu: float, k: int) -> OrderDerivative:
     """Order-derivative of the k-th positive zero of J_nu by three routes."""
     if nu <= 0.0:
         raise DomainError("dj_dnu requires nu > 0")
-    j = _jzero(nu, k)
-    fd = (_jzero(nu + 1e-4, k) - _jzero(nu - 1e-4, k)) / 2e-4
+    orders = (nu, nu + 1e-4, nu - 1e-4)
+    j, up, down = zero_table([FunctionId(Kind.BESSEL_J, v) for v in orders], k)[:, k - 1].tolist()
+    fd = (up - down) / 2e-4
     series = series_derivative(nu, j)
     watson = watson_derivative(nu, j)
     values = (fd, series, watson)
@@ -274,8 +304,5 @@ def dj_dnu(nu: float, k: int) -> OrderDerivative:
 
 def cylinder_zero_monotonicity(alpha: float, nu_values, k: int) -> bool:
     """Whether the k-th cylinder zero is strictly increasing along nu_values."""
-    nus = list(nu_values)
-    cs = [
-        zeros(FunctionId(Kind.CYLINDER, nu, alpha=alpha), k).zeros[k - 1] for nu in nus
-    ]
-    return all(b > a for a, b in zip(cs, cs[1:]))
+    cs = zero_table([FunctionId(Kind.CYLINDER, nu, alpha=alpha) for nu in nu_values], k)[:, k - 1]
+    return bool((np.diff(cs) > 0.0).all())

@@ -349,3 +349,15 @@ def test_import_leaves_optimize_and_integrate_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_trajectory_stops_at_nu_to(capsys):
+    code, out, _ = run_cli(
+        capsys, "trajectory", "--m", "5", "--nu-from", "5", "--nu-to", "5.0000000000035",
+        "--step", "1e-12", "--k-max", "1", "--l-max", "1",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    nus = [nu for t in doc["trajectories"] for nu, _ in t["samples"]]
+    assert max(nus) <= 5.0000000000035
+    assert len(doc["trajectories"][0]["samples"]) == 4

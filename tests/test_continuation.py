@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -186,3 +187,41 @@ def test_solution_serialization():
     d = s.as_dict()
     assert d["m"] == 3 and d["l"] == 1 and d["k"] == 2
     assert "irrational" in d["note"]
+
+
+def test_table_refines_each_function_in_one_pass(monkeypatch):
+    from bessel_lommel.continuation import _table
+
+    zeros_mod = importlib.import_module("bessel_lommel.zeros")
+    calls = []
+    refine = zeros_mod._refine_brackets
+    monkeypatch.setattr(zeros_mod, "_refine_brackets", lambda *a: calls.append(1) or refine(*a))
+    nus = [5.0 + 0.0625 * i for i in range(17)]
+    rho, base, high = _table(5, nus, 3, 2, 0.0, shifted=True)
+    assert len(calls) == 2
+    assert rho.shape == (17, 2) and base.shape == high.shape == (17, 3)
+
+
+def test_solve_takes_bracket_ends_from_its_grid(monkeypatch):
+    import bessel_lommel.continuation as continuation_mod
+
+    seen = []
+    distance = continuation_mod._distance
+    monkeypatch.setattr(
+        continuation_mod, "_distance", lambda *a: seen.append(a[3]) or distance(*a)
+    )
+    sol = bl.solve_nu_star(5, 2, 6, 5.619, 5.62)
+    assert sol.nu_star == pytest.approx(5.619812295723, abs=1e-8)
+    assert seen and 5.619 not in seen and 5.62 not in seen
+
+
+@pytest.mark.parametrize(
+    "nu_range, step", [((5.0, 5.0 + 3.5e-12), 1e-12), ((1.0, 1.3), 0.1), ((5.0, 6.0), 0.125)]
+)
+def test_trace_grid_never_passes_its_end(nu_range, step):
+    # accumulating the step overshoots 1.3 by an ulp, and an absolute slack of
+    # 1e-12 let the first grid take a fifth order past its end
+    res = bl.trace_trajectories(3, nu_range, step, k_max=1, l_max=1)
+    nus = [nu for nu, _ in res.trajectories[0].samples]
+    assert nus[0] == nu_range[0] and max(nus) <= nu_range[1]
+    assert nu_range[1] - nus[-1] < step

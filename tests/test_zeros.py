@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 import bessel_lommel as bl
 from bessel_lommel.special import DomainError, jvp
+
+ZEROS = importlib.import_module("bessel_lommel.zeros")
 
 
 def jfid(nu):
@@ -145,3 +148,51 @@ def test_watson_derivative_matches_finite_difference():
     up = bl.zeros(jfid(nu + h), 2).zeros[1]
     dn = bl.zeros(jfid(nu - h), 2).zeros[1]
     assert watson_derivative(nu, j) == pytest.approx((up - dn) / (2.0 * h), rel=1e-6)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("K", [1, 5, 40, 81, 120])
+def test_zero_table_matches_zeros_bitwise(K):
+    # rows of K > 80 J_nu zeros take the asymptotic path of zeros(); the last
+    # table has one row
+    tables = [
+        [jfid(nu) for nu in (-0.5, 0.0, 1.125, 7.3)],
+        *[
+            [bl.FunctionId(bl.Kind.CYLINDER, nu, alpha=alpha) for nu in (0.5, 1.5, 9.0)]
+            for alpha in (math.pi / 4.0, 2.5)
+        ],
+        [bl.FunctionId(bl.Kind.BESSEL_J_PRIME, nu) for nu in (0.0, 2.0, 11.5)],
+        [jfid(3.3)],
+    ]
+    for fids in tables:
+        table = bl.zero_table(fids, K)
+        assert table.shape == (len(fids), K)
+        for fid, row in zip(fids, table):
+            assert _hex(row) == _hex(bl.zeros(fid, K).zeros)
+
+
+def test_zero_table_splits_long_grids_into_bounded_passes(monkeypatch):
+    calls = []
+    refine = ZEROS._refine_brackets
+    monkeypatch.setattr(ZEROS, "_BATCH_BRACKETS", 10)
+    monkeypatch.setattr(ZEROS, "_refine_brackets", lambda *a: calls.append(len(a[2])) or refine(*a))
+    fids = [jfid(nu) for nu in (0.5, 1.0, 1.5, 2.0, 2.5)]
+    table = bl.zero_table(fids, 5)
+    assert calls == [10, 10, 5]
+    monkeypatch.undo()
+    for fid, row in zip(fids, table):
+        assert _hex(row) == _hex(bl.zeros(fid, 5).zeros)
+
+
+def test_zero_table_shares_the_domain_checks_of_zeros():
+    with pytest.raises(DomainError, match="nu > -1"):
+        bl.zero_table([jfid(1.0), jfid(-1.0)], 3)
+    with pytest.raises(DomainError, match="K >= 0"):
+        bl.zero_table([jfid(1.0)], -1)
+    with pytest.raises(DomainError, match="one kind and one alpha"):
+        bl.zero_table([jfid(1.0), bl.FunctionId(bl.Kind.BESSEL_J_PRIME, 1.0)], 3)
+    assert bl.zero_table([jfid(1.0)], 0).shape == (1, 0)
+    assert bl.zero_table([], 4).shape == (0, 4)
