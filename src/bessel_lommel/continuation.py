@@ -5,12 +5,12 @@ polynomial R_{m-1,nu+1} collides with a zero j_{nu,k}: the distance
 
     d(nu) = rho_{m-1,nu,l} - j_{nu,k}
 
-is continuous in nu, and a sign change over a bracket pins a crossing point
-nu*.  Both branches are tracked with an index-continuity guard so that a
-sign change is never manufactured by a root or zero swapping identity inside
-the bracket.  The same machinery runs for cylinder functions with c_{nu,k}
-in place of j_{nu,k}.  Each order grid, a solve's included, gets its zeros
-from one `zero_table` call per function, so its orders share one refinement.
+is continuous in nu.  A scan, bracket or trace query tabulates its orders once
+(one `zero_table` call per function), and each sign change between neighbouring
+orders is solved from the two table values that found it.  Only `Pair.common`
+accepts the solution, so a sign change made by a root or zero swapping identity
+is refused there; only the curves a trace prints keep the continuity guard.
+The same machinery runs for cylinder functions with c_{nu,k} in place of j_{nu,k}.
 
 Solved orders are verified against both function residuals; the crossing
 orders are irrational (no rational order can produce a common zero), which is
@@ -19,6 +19,7 @@ reported as an annotation rather than asserted numerically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +100,7 @@ def _check_index(pair: Pair, l: int, k: int) -> None:
 
 
 def _distance(m: int, l: int, k: int, nu: float, alpha: float) -> float:
-    """rho_{m-1,nu,l} - (k-th base zero); checks l and k for every `solve_nu_star` step."""
+    """rho_{m-1,nu,l} - (k-th base zero); checks l and k for every `_solve` step."""
     pair = _pair(m, nu, alpha)
     _check_index(pair, l, k)
     return float(pair.poly.roots()[l - 1]) - zeros(pair.base, k).zeros[k - 1]
@@ -127,6 +128,14 @@ def _guard_continuity(values, step: float) -> None:
             )
 
 
+def _check_query(m: int, *bracket: float) -> None:
+    """Every common-zero query needs m >= 3; a bracket needs finite ends with nu_lo < nu_hi."""
+    if m < 3:
+        raise DomainError("common zeros require m >= 3")
+    if bracket and not -math.inf < bracket[0] < bracket[1] < math.inf:
+        raise DomainError(f"a bracket requires finite ends with nu_lo < nu_hi; got {bracket}")
+
+
 def solve_nu_star(
     m: int,
     l: int,
@@ -135,32 +144,28 @@ def solve_nu_star(
     nu_hi: float,
     alpha: float = 0.0,
 ) -> NuStarSolution:
-    """Refine the order nu* in [nu_lo, nu_hi] where rho_{m-1,nu,l} = base zero k;
-    accept it only if `Pair.common` takes x* for a common zero.
+    """Refine the order nu* in [nu_lo, nu_hi] where rho_{m-1,nu,l} = base zero k from a
+    table of the two ends; accept it only if `Pair.common` takes x* for a common zero."""
+    _check_query(m, nu_lo, nu_hi)
+    _check_index(_pair(m, nu_lo, alpha), l, k)
+    rho, base, _ = _table(m, [nu_lo, nu_hi], k, l, alpha)
+    d_lo, d_hi = (rho[:, l - 1] - base[:, k - 1]).tolist()
+    return _solve(m, l, k, nu_lo, nu_hi, d_lo, d_hi, alpha)
 
-    `scipy.optimize` is imported on first use, so the first solve in a
-    process pays that import.
-    """
+
+def _solve(
+    m: int, l: int, k: int, nu_lo: float, nu_hi: float, d_lo: float, d_hi: float, alpha: float
+) -> NuStarSolution:
+    """The crossing of d(nu) = rho_{m-1,nu,l} - (k-th base zero) between two orders at which
+    a table holds d_lo and d_hi, accepted only if `Pair.common` takes x* for a common zero.
+    `scipy.optimize` is imported on first use, so the first solve in a process pays it."""
     from scipy.optimize import brentq
 
-    if m < 3:
-        raise DomainError("common zeros require m >= 3")
-    pair = _pair(m, nu_lo, alpha)  # checks the family's domain
-    if nu_hi <= nu_lo:
-        raise DomainError("bracket must satisfy nu_lo < nu_hi")
-    _check_index(pair, l, k)
-
-    grid = np.linspace(nu_lo, nu_hi, 9)
-    rho, base, _ = _table(m, grid.tolist(), k, l, alpha)
-    dvals = (rho[:, l - 1] - base[:, k - 1]).tolist()
-    _guard_continuity(dvals, float(grid[1] - grid[0]))
-    if dvals[0] * dvals[-1] > 0.0:
+    if d_lo * d_hi > 0.0:
         raise BracketError(
-            f"d({nu_lo:.6g}) = {dvals[0]:.6g} and d({nu_hi:.6g}) = {dvals[-1]:.6g} "
-            "have the same sign"
+            f"d({nu_lo:.6g}) = {d_lo:.6g} and d({nu_hi:.6g}) = {d_hi:.6g} have the same sign"
         )
-
-    ends = {nu_lo: dvals[0], nu_hi: dvals[-1]}  # linspace keeps both ends exact
+    ends = {nu_lo: d_lo, nu_hi: d_hi}  # the table's values; brentq asks for both ends first
     d = lambda nu: ends[nu] if nu in ends else _distance(m, l, k, nu, alpha)
     nu_star = brentq(d, nu_lo, nu_hi, xtol=1e-12, rtol=8.9e-16)
     pair = _pair(m, nu_star, alpha)
@@ -191,28 +196,22 @@ def _crossings(m: int, nus, rho, base, alpha: float) -> list:
     sols = []
     for l in range(rho.shape[1]):
         for k in range(base.shape[1]):
-            d = rho[:, l] - base[:, k]
+            d = (rho[:, l] - base[:, k]).tolist()
             for i in range(len(nus) - 1):
                 if d[i] == 0.0 or d[i] * d[i + 1] < 0.0:
-                    sols.append(solve_nu_star(m, l + 1, k + 1, nus[i], nus[i + 1], alpha))
+                    sols.append(_solve(m, l + 1, k + 1, nus[i], nus[i + 1], d[i], d[i + 1], alpha))
     sols.sort(key=lambda s: s.nu_star)
     return sols
 
 
-def find_in_bracket(
-    m: int,
-    nu_lo: float,
-    nu_hi: float,
-    alpha: float = 0.0,
-) -> list:
+def find_in_bracket(m: int, nu_lo: float, nu_hi: float, alpha: float = 0.0) -> list:
     """All (l, k) crossings inside a bracket, without presuming the pair.
 
     Evaluates every root of the compensating polynomial and the first 40
     base zeros at both endpoints and refines each pair whose distance changes
     sign.
     """
-    if m < 3:
-        raise DomainError("common zeros require m >= 3")
+    _check_query(m, nu_lo, nu_hi)
     nus = [nu_lo, nu_hi]
     rho, base, _ = _table(m, nus, 40, _pair(m, nu_lo, alpha).max_common, alpha)
     return _crossings(m, nus, rho, base, alpha)
@@ -227,14 +226,11 @@ def scan_nu_star(
     step: float = 0.125,
 ) -> list:
     """All crossings d(nu) = 0 with k <= k_max on a step-`step` order grid."""
-    if m < 3:
-        raise DomainError("common zeros require m >= 3")
+    _check_query(m)
     nu_floor = _SCAN_FLOOR[_family(alpha)]
     lo = nu_floor if nu_min is None else max(nu_min, nu_floor)
     _check_grid(lo, nu_max, step)
     if k_max < 1:
-        return []
-    if nu_max <= lo:
         return []
 
     grid = [lo]

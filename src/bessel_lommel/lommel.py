@@ -130,6 +130,8 @@ def _assoc_coeffs(m: int, nu: float) -> list:
 def lommel_coefficients(m: int, nu: float, kind: PolyKind = PolyKind.PLAIN) -> LommelCoefficients:
     if m < 0:
         raise ValueError("coefficient form requires m >= 0; use lommel_eval for negative m")
+    if not math.isfinite(nu):
+        raise DomainError(f"Lommel polynomials require a finite nu; got {nu}")
     coeffs = _plain_coeffs(m, nu) if kind is PolyKind.PLAIN else _assoc_coeffs(m, nu)
     return LommelCoefficients(m, nu, kind, tuple(coeffs))
 

@@ -53,6 +53,8 @@ class FunctionId:
     alpha: float | None = None
 
     def __post_init__(self):
+        if not np.isfinite(self.order).all():  # an order column is an ndarray
+            raise DomainError(f"the order must be finite; got {self.order}")
         if self.kind is Kind.CYLINDER:
             if self.alpha is None or not 0.0 <= self.alpha < math.pi:
                 raise DomainError("cylinder kind requires alpha in [0, pi)")

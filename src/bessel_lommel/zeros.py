@@ -287,8 +287,8 @@ def series_derivative(nu: float, j: float) -> float:
 
 def dj_dnu(nu: float, k: int) -> OrderDerivative:
     """Order-derivative of the k-th positive zero of J_nu by three routes."""
-    if nu <= 0.0:
-        raise DomainError("dj_dnu requires nu > 0")
+    if nu <= 0.0 or k < 1:
+        raise DomainError("dj_dnu requires nu > 0 and k >= 1")
     orders = (nu, nu + 1e-4, nu - 1e-4)
     j, up, down = zero_table([FunctionId(Kind.BESSEL_J, v) for v in orders], k)[:, k - 1].tolist()
     fd = (up - down) / 2e-4

@@ -314,6 +314,26 @@ def test_domain_error_exits_2(capsys):
     assert "domain error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lommel", "--m", "3", "--nu", "nan", "--roots"),
+        ("zeros", "--kind", "j", "--nu", "nan", "--count", "3"),
+        ("interlace", "--family", "j", "--m", "3", "--nu", "nan", "--k", "5"),
+        ("zeros", "--kind", "c", "--nu", "inf", "--alpha", "1", "--count", "2"),
+        ("common-zero", "--m", "5", "--bracket", "5.619", "5.619"),
+        ("common-zero", "--m", "5", "--bracket", "nan", "5.62"),
+    ],
+    ids=["lommel-nan", "zeros-nan", "interlace-nan", "zeros-c-inf", "degenerate-bracket", "nan-bracket"],
+)
+def test_non_finite_order_or_bad_bracket_exits_2(capsys, argv):
+    # these exited 0 with NaN output or 1 with "non-finite function value"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domain error")
+
+
 def test_float_formatting_15_digits(capsys):
     code, out, _ = run_cli(
         capsys, "zeros", "--kind", "j", "--nu", "0", "--count", "1", "--format", "csv"

@@ -225,3 +225,59 @@ def test_trace_grid_never_passes_its_end(nu_range, step):
     nus = [nu for nu, _ in res.trajectories[0].samples]
     assert nus[0] == nu_range[0] and max(nus) <= nu_range[1]
     assert nu_range[1] - nus[-1] < step
+
+
+def _record_tables(monkeypatch):
+    import bessel_lommel.continuation as continuation_mod
+
+    seen = []
+    table = continuation_mod._table
+    def recording(m, nus, *args, **kwargs):
+        seen.append(list(nus))
+        return table(m, nus, *args, **kwargs)
+
+    monkeypatch.setattr(continuation_mod, "_table", recording)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda: bl.scan_nu_star(4, 3, 20.0),
+        lambda: bl.find_in_bracket(5, 5.619, 5.62),
+        lambda: bl.trace_trajectories(5, (5.0, 6.0), 0.125, k_max=6, l_max=2),
+    ],
+    ids=["scan", "bracket", "trace"],
+)
+def test_each_query_tabulates_its_orders_once(monkeypatch, query):
+    # every crossing is solved from the two table values that found it
+    seen = _record_tables(monkeypatch)
+    assert query()
+    assert len(seen) == 1
+
+
+def test_solve_tabulates_only_its_two_ends(monkeypatch):
+    seen = _record_tables(monkeypatch)
+    sol = bl.solve_nu_star(5, 2, 6, 5.619, 5.62)
+    assert sol.nu_star == pytest.approx(5.619812295723, abs=1e-8)
+    assert seen == [[5.619, 5.62]]
+
+
+@pytest.mark.parametrize(
+    "nu_lo, nu_hi",
+    [(5.62, 5.619), (5.619, 5.619), (math.nan, 5.62), (5.6, math.inf)],
+    ids=["reversed", "degenerate", "nan-end", "infinite-end"],
+)
+def test_bracket_rule_is_shared(nu_lo, nu_hi):
+    # a degenerate bracket used to answer "no crossing" and a NaN end to leak LinAlgError
+    with pytest.raises(DomainError, match="bracket requires finite ends"):
+        bl.find_in_bracket(5, nu_lo, nu_hi)
+    with pytest.raises(DomainError, match="bracket requires finite ends"):
+        bl.solve_nu_star(5, 2, 6, nu_lo, nu_hi)
+
+
+def test_spurious_sign_change_is_refused_by_the_common_zero_test():
+    # the first cylinder zero crosses the scan start x = 1e-3 inside this bracket, so
+    # the distance changes sign with no crossing; Pair.common refuses the solved x*
+    with pytest.raises(BracketError, match="gives no common zero"):
+        bl.find_in_bracket(4, 0.05, 0.1, alpha=3.0)

@@ -285,3 +285,11 @@ def test_evaluators_reject_zero_abscissa(evaluate):
             evaluate(m, 1.5, 0.0)
         with pytest.raises(DomainError):
             evaluate(m, 1.5, np.array([1.0, 0.0, 2.0]))
+
+
+@pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", list(PolyKind))
+def test_coefficients_refuse_non_finite_order(nu, kind):
+    # a NaN order used to give NaN coefficients, a NaN root and a NaN residual
+    with pytest.raises(DomainError, match="finite"):
+        bl.lommel_coefficients(3, nu, kind)

@@ -194,6 +194,21 @@ def test_function_id_invariants():
     assert "C[" in fid.label()
 
 
+@pytest.mark.parametrize(
+    "kind, order",
+    [
+        (bl.Kind.BESSEL_J, math.nan),
+        (bl.Kind.BESSEL_J, math.inf),
+        (bl.Kind.BESSEL_J_PRIME, -math.inf),
+        (bl.Kind.BESSEL_J, np.array([1.0, math.nan, 2.0])),  # an order column of zero_table
+    ],
+)
+def test_function_id_refuses_non_finite_orders(kind, order):
+    # a NaN order passed every `<=` domain check and came back as NaN zeros
+    with pytest.raises(DomainError, match="finite"):
+        bl.FunctionId(kind, order)
+
+
 def test_evaluate_dispatch():
     x = 4.2
     assert bl.evaluate(bl.FunctionId(bl.Kind.BESSEL_J, 1.125), x).value == pytest.approx(

@@ -133,6 +133,13 @@ def test_order_derivative_domain():
         bl.dj_dnu(0.0, 1)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_order_derivative_refuses_index_below_one(k):
+    # k = 0 used to index the zero table at -1 and raise IndexError
+    with pytest.raises(DomainError, match="k >= 1"):
+        bl.dj_dnu(1.5, k)
+
+
 def test_cylinder_zero_monotonicity():
     assert bl.cylinder_zero_monotonicity(0.0, np.arange(0.5, 5.01, 0.5), 1)
     assert bl.cylinder_zero_monotonicity(math.pi / 4.0, np.arange(1.0, 4.01, 0.5), 2)
