@@ -107,16 +107,13 @@ class Pair:
         """The one common-zero test: which base zeros `xs` give both the polynomial and
         the shifted function a scaled residual |g(x)| / max(1, |g'(x)|) below `tol`.
         More than `max_common` hits is a RuntimeError."""
-        hval = _special.value_fn(self.shifted)
-        hder = _special.derivative_fn(self.shifted)
-        mask = np.asarray(
-            [
-                abs(self.poly(x)) / max(1.0, abs(self.poly.prime(x))) < tol
-                and abs(float(hval(x))) / max(1.0, abs(float(hder(x)))) < tol
-                for x in xs
-            ],
-            dtype=bool,
-        )
+        xs = np.asarray(xs, dtype=float)
+        with np.errstate(invalid="ignore"):  # inf / inf is nan, which fails the test
+            mask = np.abs(self.poly(xs)) / np.fmax(1.0, np.abs(self.poly.prime(xs))) < tol
+            near = xs[mask]  # the shifted function is evaluated at polynomial roots only
+            hval = _special.value_fn(self.shifted)(near)
+            hder = _special.derivative_fn(self.shifted)(near)
+            mask[mask] = np.abs(hval) / np.fmax(1.0, np.abs(hder)) < tol
         if mask.sum() > self.max_common:
             raise RuntimeError(
                 f"detected {mask.sum()} common zeros but at most {self.max_common} are possible; "

@@ -221,7 +221,8 @@ def root_positions(n: int, nu: float, kind: PolyKind = PolyKind.PLAIN) -> np.nda
     The bisection runs at most 80 steps, but each step is a deterministic map
     of (a, b, fa, fb) with fa = f(a) and fb = f(b).  Once the midpoint rounds
     to an end point and the step would leave the state as it is, every later
-    step is a no-op too, so the loop stops there with the same result.
+    step is a no-op too, so the loop stops there with the same result.  The
+    Newton polish of at most 4 steps stops in the same way at a fixed point.
     """
     coeffs = _plain_coeffs(n, nu) if kind is PolyKind.PLAIN else _assoc_coeffs(n, nu)
     if len(coeffs) < 2:
@@ -263,8 +264,8 @@ def root_positions(n: int, nu: float, kind: PolyKind = PolyKind.PLAIN) -> np.nda
                 break
             step = f(x1) / d
             x2 = x1 - step
-            if not a - 1e-9 <= x2 <= b + 1e-9:
-                break
+            if x2 == x1 or not a - 1e-9 <= x2 <= b + 1e-9:
+                break  # x1 is a fixed point, or the step leaves the bracket
             x1 = x2
         roots.append(x1)
     roots.sort()

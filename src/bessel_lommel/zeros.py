@@ -2,12 +2,17 @@
 
 Zeros are located by a vectorized scan-and-bisect: march from a safe starting
 abscissa in half-pi steps until enough sign changes are bracketed, then refine
-every bracket by bisection followed by a Newton polish with the analytic
-derivative.  `zero_table` scans each order of a grid on its own and refines
-the brackets of all of them in one pass, which gives every zero the bits of a
-one-order call.  Large-index runs of J_nu zeros switch to asymptotic initial
-guesses, which are still verified by sign changes and residual checks before
-being accepted.
+every bracket by 48 bisection steps followed by a Newton polish with the
+analytic derivative.  The refinement evaluates the function only where the
+outcome is not known yet: bisection steps whose direction a secant estimate of
+the root makes certain are replayed by arithmetic and certified by the signs at
+the interval they reach (a bracket whose replay fails is bisected in full), and
+Newton stops evaluating at a fixed point; the zeros are bit for bit those of
+evaluating every step.  `zero_table` scans each order of a grid on its own and
+refines the brackets of all of them in one pass, which gives every zero the
+bits of a one-order call.  Large-index runs of J_nu zeros switch to asymptotic
+initial guesses, whose Newton steps also stop at a fixed point, and which are
+still verified by sign changes and residual checks before being accepted.
 
 dj/dnu is computed by three independent routes (finite differences of the
 zero, the squared-Lommel-polynomial series, and the K_0 integral) and the
@@ -100,25 +105,105 @@ def _scan_brackets(f, x0: float, count: int, step: float, x_limit: float):
     return brackets
 
 
-def _refine_brackets(f, fp, brackets, tolerance: float):
-    """Vector bisection on all brackets, then a bounded Newton polish."""
+_SECANT_STEPS = 8  # secant steps that estimate each root; with none the estimate is b0
+_REPLAY_MARGIN = 1e-12  # relative distance from the estimate beyond which a step is certain
+
+
+def _margin(x):
+    return _REPLAY_MARGIN * np.maximum(1.0, np.abs(x))
+
+
+def _refine_brackets(col: FunctionId, brackets, tolerance: float):
+    """Refine bracket i of `brackets` to a zero of the function of order `col.order[i]`:
+    48 bisection steps, a Newton polish of at most 3 steps, and the residual contract.
+
+    The result is bit for bit that of evaluating f at every step of every bracket;
+    only evaluations whose outcome is known are left out.  Secant steps, clipped to
+    the bracket and stopped once a step is within the margin, estimate each root r.
+    A bisection step whose midpoint lies more than the margin `_REPLAY_MARGIN *
+    max(1, |r|)` from r goes the way r lies: it is replayed by arithmetic alone, up
+    to the first step that is not so certain.  The replay is kept only if f at the
+    interval it reached has the signs that the bisection rule keeps at its ends,
+    fa * f(a) > 0 where a moved and fa * f(b) <= 0.  That certifies every replayed
+    step, because a bracket holds one zero and the computed f changes sign only far
+    closer to it than the margin.  A bracket whose replay fails is bisected in full
+    from its ends.  From the first uncertain step on, each step evaluates f at the
+    midpoints of the brackets still bisecting, with the rule fa * f(mid) <= 0; a
+    midpoint that rounds to an end takes the value f has there.  The Newton polish
+    stops at a fixed point (`_newton`).
+    """
     a = np.asarray([b[0] for b in brackets], dtype=float)
     b = np.asarray([b[1] for b in brackets], dtype=float)
-    fa = np.asarray(f(a), dtype=float)
+    n = a.size
+    every = np.arange(n)
+
+    def f(rows, x):
+        return np.asarray(_special.value_fn(_rows(col, rows))(x), dtype=float)
+
+    def fp(rows, x):
+        return np.asarray(_special.derivative_fn(_rows(col, rows))(x), dtype=float)
+
+    ends = f(np.concatenate([every, every]), np.concatenate([a, b]))
+    fa0, fb0 = ends[:n], ends[n:]
+
+    # the secant estimate r of each root, from the two latest iterates (r, fr), (q, fq)
+    q, fq, r, fr = a.copy(), fa0.copy(), b.copy(), fb0.copy()
+    live = every[fr != fq]
+    for _ in range(_SECANT_STEPS):
+        if not live.size:
+            break
+        x = r[live] - fr[live] * (r[live] - q[live]) / (fr[live] - fq[live])
+        x = np.clip(x, a[live], b[live])
+        fx = f(live, x)
+        q[live], fq[live] = r[live], fr[live]
+        r[live], fr[live] = x, fx
+        live = live[(np.abs(x - q[live]) > _margin(x)) & (fx != 0.0) & (fx != fq[live])]
+
+    # replay the bisection steps whose midpoint is far from r
+    a0, b0 = a.copy(), b.copy()
+    margin = _margin(r)
+    steps = np.zeros(n, dtype=int)
+    sure = np.ones(n, dtype=bool)
     for _ in range(48):
         mid = 0.5 * (a + b)
-        fm = np.asarray(f(mid), dtype=float)
-        go_left = (fa * fm) <= 0.0
-        b = np.where(go_left, mid, b)
-        a = np.where(go_left, a, mid)
-        fa = np.where(go_left, fa, fm)
-    x = 0.5 * (a + b)
-    for _ in range(3):
-        d = np.asarray(fp(x), dtype=float)
-        step = np.where(d != 0.0, np.asarray(f(x), dtype=float) / np.where(d == 0.0, 1.0, d), 0.0)
-        x = np.clip(x - step, a, b)
-    res = np.abs(np.asarray(f(x), dtype=float))
-    scale = np.maximum(1.0, np.abs(np.asarray(fp(x), dtype=float)))
+        d = mid - r
+        sure &= np.abs(d) > margin
+        if not sure.any():
+            break
+        right = sure & (d < 0.0)
+        np.copyto(a, mid, where=right)
+        np.copyto(b, mid, where=sure ^ right)
+        steps += sure
+
+    # certify each replay by f at the interval it reached; bisect the others in full
+    fa, fb = fa0.copy(), fb0.copy()
+    moved = every[steps > 0]
+    if moved.size:
+        vals = f(np.concatenate([moved, moved]), np.concatenate([a[moved], b[moved]]))
+        fa_r, fb_r = vals[: moved.size], vals[moved.size :]
+        held = ((fa0[moved] * fa_r > 0.0) | (a[moved] == a0[moved])) & (fa0[moved] * fb_r <= 0.0)
+        fa[moved] = np.where(held, fa_r, fa0[moved])
+        fb[moved] = np.where(held, fb_r, fb0[moved])
+        lost = moved[~held]
+        a[lost], b[lost], steps[lost] = a0[lost], b0[lost], 0
+
+    for k in range(int(steps.min()), 48):
+        live = every[steps <= k]
+        al, bl, fal, fbl = a[live], b[live], fa[live], fb[live]
+        mid = 0.5 * (al + bl)
+        fm = np.where(mid == al, fal, fbl)
+        inner = (mid != al) & (mid != bl)
+        fm[inner] = f(live[inner], mid[inner])
+        go_left = (fal * fm) <= 0.0
+        a[live], fa[live] = np.where(go_left, al, mid), np.where(go_left, fal, fm)
+        b[live], fb[live] = np.where(go_left, mid, bl), np.where(go_left, fm, fbl)
+
+    def polish(rows, x, v, d):
+        return np.clip(x - np.where(d != 0.0, v / np.where(d == 0.0, 1.0, d), 0.0), a[rows], b[rows])
+
+    x, fx, dx = _newton(f, fp, 0.5 * (a + b), 3, polish)
+    res = np.abs(fx)
+    scale = np.maximum(1.0, np.abs(dx))
     ok = res <= tolerance * scale
     if not ok.all():
         i = int(np.nonzero(~ok)[0][0])
@@ -126,6 +211,11 @@ def _refine_brackets(f, fp, brackets, tolerance: float):
             f"residual {res[i]:.3g} exceeds contract in bracket ({a[i]:.9g}, {b[i]:.9g})"
         )
     return x, res
+
+
+def _rows(col: FunctionId, rows) -> FunctionId:
+    """The FunctionId of the orders `col.order[rows]`."""
+    return FunctionId(col.kind, col.order[rows], col.alpha)
 
 
 def _mcmahon_j(nu: float, ks: np.ndarray) -> np.ndarray:
@@ -140,6 +230,25 @@ def _mcmahon_j(nu: float, ks: np.ndarray) -> np.ndarray:
         - 32.0 * (mu - 1.0) * (83.0 * mu * mu - 982.0 * mu + 3779.0) / (15.0 * b8**5)
     )
     return guess
+
+
+def _newton(f, fp, x, count: int, step):
+    """`count` Newton steps x <- step(rows, x, f(x), f'(x)) from the points `x`, and f
+    and f' at the points reached; f and fp take (rows, x).  A step that leaves a point
+    unchanged has reached a fixed point: the later steps would evaluate f and f' at it
+    again, so the point drops out and keeps the values already computed."""
+    x = x.copy()
+    fx, dx = np.empty_like(x), np.empty_like(x)
+    live = np.arange(x.size)
+    for _ in range(count):
+        fx[live], dx[live] = f(live, x[live]), fp(live, x[live])
+        new = step(live, x[live], fx[live], dx[live])
+        moving = new != x[live]
+        x[live] = new
+        live = live[moving]
+    if live.size:
+        fx[live], dx[live] = f(live, x[live]), fp(live, x[live])
+    return x, fx, dx
 
 
 def _scan_start(fid: FunctionId) -> float:
@@ -187,19 +296,19 @@ def zeros(fid: FunctionId, K: int, tolerance: float = 1e-12) -> ZeroList:
     xs = None
     if fid.kind is Kind.BESSEL_J and K > _BULK_SWITCH:
         head_n = max(12, int(math.ceil(max(fid.order, 0.0))) + 4)
-        head, _ = _scan_and_refine([fid], head_n, tolerance)
+        head, head_res = _scan_and_refine([fid], head_n, tolerance)
         ks = np.arange(head_n + 1, K + 1, dtype=float)
-        guess = _mcmahon_j(fid.order, ks)
-        tail = guess.copy()
-        for _ in range(4):
-            tail = tail - np.asarray(f(tail), dtype=float) / np.asarray(fp(tail), dtype=float)
+        tail, tail_f, tail_fp = _newton(
+            lambda _, x: f(x), lambda _, x: fp(x), _mcmahon_j(fid.order, ks), 4,
+            lambda _, x, v, d: x - v / d,
+        )
         xs = np.concatenate([head[0], tail])
         try:
             _validate_run(f, xs)
-            res = np.abs(np.asarray(f(xs), dtype=float))
-            scale = np.maximum(1.0, np.abs(np.asarray(fp(xs), dtype=float)))
-            if (res > tolerance * scale).any():
+            tail_res = np.abs(tail_f)  # the head met the contract in its refinement
+            if (tail_res > tolerance * np.maximum(1.0, np.abs(tail_fp))).any():
                 raise ConvergenceError("asymptotic-seeded Newton missed the residual contract")
+            res = np.concatenate([head_res[0], tail_res])
             method = "scan+bisect head, asymptotic-seeded Newton tail"
         except ConvergenceError:
             xs = None
@@ -243,7 +352,7 @@ def _scan_and_refine(fids, K: int, tolerance: float):
         limit = x0 + (K + 20) * math.pi * 2.0 + 100.0
         brackets += _scan_brackets(_special.value_fn(fid), x0, K, math.pi / 2.0, limit)
     col = FunctionId(fids[0].kind, np.repeat([fid.order for fid in fids], K), fids[0].alpha)
-    xs, res = _refine_brackets(_special.value_fn(col), _special.derivative_fn(col), brackets, tolerance)
+    xs, res = _refine_brackets(col, brackets, tolerance)
     xs, res = xs.reshape(len(fids), K), res.reshape(len(fids), K)
     for fid, row in zip(fids, xs):
         _validate_run(_special.value_fn(fid), row)

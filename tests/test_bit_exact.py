@@ -1,11 +1,14 @@
-"""The fast Lommel root solver and zero scan return the same floats, bit for
-bit, as the straightforward versions they replaced.
+"""The fast Lommel root solver, zero scan and zero refinement return the same
+floats, bit for bit, as the straightforward versions they replaced.
 
 The references below are the earlier implementations, kept verbatim: the
 numpy-array polynomial kernels `_poly_eval`/`_poly_prime`, the Lommel root
-refinement through them with a fixed 80-step bisection, and a zero scan that
-evaluates whole 256-point batches.  Results are compared as `float.hex`, so
-any change of the last bit fails.
+refinement through them with a fixed 80-step bisection, a zero scan that
+evaluates whole 256-point batches, and a zero refinement that evaluates every
+bracket at each of its 48 bisection steps, 3 Newton steps and residual, with
+the 4 Newton steps of the McMahon-seeded tail evaluated at every zero, and a
+common-zero test that evaluates one point at a time.
+Results are compared as `float.hex`, so any change of the last bit fails.
 """
 
 import importlib
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 
 from bessel_lommel import lommel as L
+from bessel_lommel import interlace as I
 from bessel_lommel import special as S
 from bessel_lommel.lommel import PolyKind
 from bessel_lommel.special import FunctionId, Kind
@@ -214,3 +218,164 @@ def test_zeros_match_reference_scan_bitwise(monkeypatch):
         assert _hex(g.zeros) == _hex(w.zeros), (fid, K)
         assert _hex(g.residuals) == _hex(w.residuals), (fid, K)
         assert g.method == w.method
+
+
+def reference_refine_brackets(f, fp, brackets, tolerance: float):
+    """Vector bisection on all brackets, then a bounded Newton polish."""
+    a = np.asarray([b[0] for b in brackets], dtype=float)
+    b = np.asarray([b[1] for b in brackets], dtype=float)
+    fa = np.asarray(f(a), dtype=float)
+    for _ in range(48):
+        mid = 0.5 * (a + b)
+        fm = np.asarray(f(mid), dtype=float)
+        go_left = (fa * fm) <= 0.0
+        b = np.where(go_left, mid, b)
+        a = np.where(go_left, a, mid)
+        fa = np.where(go_left, fa, fm)
+    x = 0.5 * (a + b)
+    for _ in range(3):
+        d = np.asarray(fp(x), dtype=float)
+        step = np.where(d != 0.0, np.asarray(f(x), dtype=float) / np.where(d == 0.0, 1.0, d), 0.0)
+        x = np.clip(x - step, a, b)
+    res = np.abs(np.asarray(f(x), dtype=float))
+    scale = np.maximum(1.0, np.abs(np.asarray(fp(x), dtype=float)))
+    ok = res <= tolerance * scale
+    if not ok.all():
+        i = int(np.nonzero(~ok)[0][0])
+        raise Z.ConvergenceError(
+            f"residual {res[i]:.3g} exceeds contract in bracket ({a[i]:.9g}, {b[i]:.9g})"
+        )
+    return x, res
+
+
+def reference_scan_and_refine(fids, K: int, tolerance: float):
+    brackets = []
+    for fid in fids:
+        x0 = Z._scan_start(fid)
+        limit = x0 + (K + 20) * math.pi * 2.0 + 100.0
+        brackets += Z._scan_brackets(S.value_fn(fid), x0, K, math.pi / 2.0, limit)
+    col = FunctionId(fids[0].kind, np.repeat([fid.order for fid in fids], K), fids[0].alpha)
+    xs, res = reference_refine_brackets(S.value_fn(col), S.derivative_fn(col), brackets, tolerance)
+    xs, res = xs.reshape(len(fids), K), res.reshape(len(fids), K)
+    for fid, row in zip(fids, xs):
+        Z._validate_run(S.value_fn(fid), row)
+    return xs, res
+
+
+def reference_zeros(fid, K, tolerance=1e-12):
+    f = S.value_fn(fid)
+    fp = S.derivative_fn(fid)
+
+    xs = None
+    if fid.kind is Kind.BESSEL_J and K > Z._BULK_SWITCH:
+        head_n = max(12, int(math.ceil(max(fid.order, 0.0))) + 4)
+        head, _ = reference_scan_and_refine([fid], head_n, tolerance)
+        ks = np.arange(head_n + 1, K + 1, dtype=float)
+        guess = Z._mcmahon_j(fid.order, ks)
+        tail = guess.copy()
+        for _ in range(4):
+            tail = tail - np.asarray(f(tail), dtype=float) / np.asarray(fp(tail), dtype=float)
+        xs = np.concatenate([head[0], tail])
+        try:
+            Z._validate_run(f, xs)
+            res = np.abs(np.asarray(f(xs), dtype=float))
+            scale = np.maximum(1.0, np.abs(np.asarray(fp(xs), dtype=float)))
+            if (res > tolerance * scale).any():
+                raise Z.ConvergenceError("asymptotic-seeded Newton missed the residual contract")
+            method = "scan+bisect head, asymptotic-seeded Newton tail"
+        except Z.ConvergenceError:
+            xs = None
+    if xs is None:
+        rows, res = reference_scan_and_refine([fid], K, tolerance)
+        xs, res = rows[0], res[0]
+        method = "scan + bisection/Newton"
+    return xs, res, method
+
+
+def _refine_cases():
+    rng = random.Random(2024)
+    for kind in (Kind.BESSEL_J, Kind.CYLINDER, Kind.BESSEL_J_PRIME):
+        for _ in range(10):
+            # the scan of C_nu starts at x = 1e-3, where Y_nu overflows once nu passes 60
+            nu = rng.uniform(0.0, 50.0 if kind is Kind.CYLINDER else 110.0)
+            alpha = rng.uniform(0.01, math.pi - 0.01) if kind is Kind.CYLINDER else None
+            yield FunctionId(kind, nu, alpha=alpha), rng.randint(1, 80)
+    for alpha in (0.0, 0.5, math.pi / 2.0, 3.0):
+        yield FunctionId(Kind.CYLINDER, rng.uniform(0.0, 30.0), alpha=alpha), 80
+
+
+def _assert_matches_reference(cases):
+    for fid, K in cases:
+        got = Z.zeros(fid, K)
+        xs, res, method = reference_zeros(fid, K)
+        assert _hex(got.zeros) == _hex(xs), (fid, K)
+        assert _hex(got.residuals) == _hex(res), (fid, K)
+        assert got.method == method, (fid, K)
+
+
+def test_refinement_matches_reference_bitwise():
+    _assert_matches_reference(_refine_cases())
+
+
+def test_zero_table_matches_reference_bitwise():
+    for kind, alpha in ((Kind.BESSEL_J, None), (Kind.CYLINDER, 2.2), (Kind.BESSEL_J_PRIME, None)):
+        fids = [FunctionId(kind, 3.0 + 0.37 * i, alpha=alpha) for i in range(12)]
+        table = Z.zero_table(fids, 9)
+        for fid, row in zip(fids, table):
+            assert _hex(row) == _hex(reference_zeros(fid, 9)[0]), fid
+
+
+def test_mcmahon_tail_matches_reference_bitwise():
+    cases = [(0.0, 1000), (0.5, 1500), (7.25, 2600), (33.3, 4000), (61.0, 5000), (0.3, 81)]
+    _assert_matches_reference((FunctionId(Kind.BESSEL_J, nu), K) for nu, K in cases)
+
+
+@pytest.mark.parametrize("secant_steps", [0, 1])
+def test_replay_fall_back_matches_reference_bitwise(monkeypatch, secant_steps):
+    # with no secant step the estimate of each root is the bracket's right end, so
+    # every replay runs towards it, fails its check and is bisected in full; one
+    # step leaves estimates off to either side, so replays fail at either end
+    monkeypatch.setattr(Z, "_SECANT_STEPS", secant_steps)
+    cases = list(_refine_cases())[::3] + [(FunctionId(Kind.BESSEL_J, 2.5), 300)]
+    _assert_matches_reference(cases)
+
+
+def reference_common(pair, xs, tol=1e-8):
+    hval = S.value_fn(pair.shifted)
+    hder = S.derivative_fn(pair.shifted)
+    mask = np.asarray(
+        [
+            abs(pair.poly(x)) / max(1.0, abs(pair.poly.prime(x))) < tol
+            and abs(float(hval(x))) / max(1.0, abs(float(hder(x)))) < tol
+            for x in xs
+        ],
+        dtype=bool,
+    )
+    if mask.sum() > pair.max_common:
+        raise RuntimeError(
+            f"detected {mask.sum()} common zeros but at most {pair.max_common} are possible; "
+            "the tolerance is too loose"
+        )
+    return mask
+
+
+def _outcome(common, pair, xs, tol):
+    try:
+        return common(pair, xs, tol).tolist()
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def test_common_matches_pointwise_reference():
+    rng = random.Random(5)
+    pairs = [I.Pair(I.Family.BESSEL_J, 5, 5.619812295723)]  # a common zero near x = 19.6
+    for family in I.Family:
+        for _ in range(4):
+            alpha = rng.uniform(0.0, 3.0) if family is I.Family.CYLINDER else 0.0
+            pairs.append(I.Pair(family, rng.randint(1, 12), rng.uniform(0.5, 20.0), alpha))
+    for pair in pairs:
+        xs = Z.zeros(pair.base, 30).zeros
+        for tol in (1e-8, 1e-3, 0.3):
+            want = _outcome(reference_common, pair, xs, tol)
+            assert _outcome(I.Pair.common, pair, xs, tol) == want, (pair, tol)
+    assert True in _outcome(I.Pair.common, pairs[0], Z.zeros(pairs[0].base, 30).zeros, 1e-8)

@@ -185,7 +185,7 @@ def test_zero_table_splits_long_grids_into_bounded_passes(monkeypatch):
     calls = []
     refine = ZEROS._refine_brackets
     monkeypatch.setattr(ZEROS, "_BATCH_BRACKETS", 10)
-    monkeypatch.setattr(ZEROS, "_refine_brackets", lambda *a: calls.append(len(a[2])) or refine(*a))
+    monkeypatch.setattr(ZEROS, "_refine_brackets", lambda *a: calls.append(len(a[1])) or refine(*a))
     fids = [jfid(nu) for nu in (0.5, 1.0, 1.5, 2.0, 2.5)]
     table = bl.zero_table(fids, 5)
     assert calls == [10, 10, 5]

@@ -1,14 +1,15 @@
 """Dump a benchmark workload's answers bit for bit, or compare two dumps.
 
-    python tools/compare_answers.py dump --workload nu-star-scan --seed 3 --src src > new.json
+    python tools/compare_answers.py dump --workload nu-star-scan --seed 1 2 3 --src src > new.json
     python tools/compare_answers.py diff old.json new.json
 
-`dump` answers every query of one workload and seed once, in order, through
-`perfbench/worker.execute` with the package imported from the given `src/`
-tree, and writes the answers as JSON with every float spelled as `float.hex`.
-A query that raises is recorded as its exception type and message, as the
-benchmark records it.  `diff` reports the first query whose answer differs
-and exits 1, or prints the number of identical answers and exits 0.
+`dump` answers every query of one workload once, in order, for each seed
+given, through `perfbench/worker.execute` with the package imported from the
+given `src/` tree, and writes the answers as JSON, one run per seed, with every
+float spelled as `float.hex`.  A query that raises is recorded as its exception
+type and message, as the benchmark records it.  `diff` compares the two dumps
+seed by seed: for each run it reports the first query whose answer differs, or
+the number of identical answers, and it exits 1 if any run differs.
 
 To check that a change keeps every answer, dump the parent commit's `src/`
 (from a `git clone` or `git archive` of it) and the working tree's, then diff.
@@ -35,24 +36,27 @@ def _exact(value):
     return value
 
 
-def dump(workload: str, seed: int, src: str) -> dict:
+def dump(workload: str, seeds, src: str) -> list:
     sys.path[:0] = [str(Path(src).resolve()), str(PERFBENCH)]
     import worker
     import workloads
 
-    queries, _ = workloads.generate(workload, seed)
     mods = worker._modules()
-    answers = []
-    for q in queries:
-        try:
-            answer = worker.execute(mods, q)
-        except Exception as exc:  # recorded as the benchmark records it
-            answer = {"error": f"{type(exc).__name__}: {exc}"}
-        answers.append(_exact(answer))
-    return {"workload": workload, "seed": seed, "queries": queries, "answers": answers}
+    runs = []
+    for seed in seeds:
+        queries, _ = workloads.generate(workload, seed)
+        answers = []
+        for q in queries:
+            try:
+                answer = worker.execute(mods, q)
+            except Exception as exc:  # recorded as the benchmark records it
+                answer = {"error": f"{type(exc).__name__}: {exc}"}
+            answers.append(_exact(answer))
+        runs.append({"workload": workload, "seed": seed, "queries": queries, "answers": answers})
+    return runs
 
 
-def diff(old: dict, new: dict) -> int:
+def _diff_run(old: dict, new: dict) -> int:
     if (old["workload"], old["seed"]) != (new["workload"], new["seed"]):
         print(f"different runs: {old['workload']} seed {old['seed']} "
               f"vs {new['workload']} seed {new['seed']}")
@@ -70,14 +74,21 @@ def diff(old: dict, new: dict) -> int:
     return 0
 
 
+def diff(old: list, new: list) -> int:
+    if len(old) != len(new):
+        print(f"run counts differ: {len(old)} vs {len(new)}")
+        return 1
+    return max([_diff_run(a, b) for a, b in zip(old, new)], default=0)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    d = sub.add_parser("dump", help="answer one workload and seed; JSON on stdout")
+    d = sub.add_parser("dump", help="answer one workload for each seed; JSON on stdout")
     d.add_argument("--workload", required=True)
-    d.add_argument("--seed", type=int, required=True)
+    d.add_argument("--seed", type=int, nargs="+", required=True)
     d.add_argument("--src", required=True, help="the src/ tree to import bessel_lommel from")
-    c = sub.add_parser("diff", help="compare two dumps; exit 1 at the first difference")
+    c = sub.add_parser("diff", help="compare two dumps; exit 1 if any answer differs")
     c.add_argument("old")
     c.add_argument("new")
     args = parser.parse_args(argv)
