@@ -6,13 +6,13 @@ polynomial R_{m-1,nu+1} collides with a zero j_{nu,k}: the distance
     d(nu) = rho_{m-1,nu,l} - j_{nu,k}
 
 is continuous in nu.  A scan, bracket or trace query tabulates its orders once
-(one `zero_table` call per function), and each sign change between neighbouring
-orders is solved from the two table values that found it.  Only `Pair.common`
-accepts the solution, so a sign change made by a root or zero swapping identity
-is refused there; only the curves a trace prints keep the continuity guard.
-The same machinery runs for cylinder functions with c_{nu,k} in place of j_{nu,k}.
-
-Solved orders are verified against both function residuals; the crossing
+(`_table`), as certified intervals around each root and zero; two disjoint
+intervals decide the sign of d.  Only the orders next to a sign change, or where
+a sign is undecided, are refined to exact values, and each sign change is solved
+from the two exact table values that found it.  Only `Pair.common` accepts the
+solution, so a sign change made by a root or zero swapping identity is refused
+there; a trace refines every order and keeps the continuity guard on the curves
+it prints.  Cylinder functions take c_{nu,k} in place of j_{nu,k}.  The crossing
 orders are irrational (no rational order can produce a common zero), which is
 reported as an annotation rather than asserted numerically.
 """
@@ -24,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lommel as _lommel
 from . import special as _special
 from .interlace import Family, Pair
 from .special import DomainError
-from .zeros import zero_table, zeros
+from .zeros import _zero_stages, zero_table, zeros
 
 
 class BracketError(ValueError):
@@ -148,8 +149,9 @@ def solve_nu_star(
     table of the two ends; accept it only if `Pair.common` takes x* for a common zero."""
     _check_query(m, nu_lo, nu_hi)
     _check_index(_pair(m, nu_lo, alpha), l, k)
-    rho, base, _ = _table(m, [nu_lo, nu_hi], k, l, alpha)
-    d_lo, d_hi = (rho[:, l - 1] - base[:, k - 1]).tolist()
+    rho, base, refine, _ = _table(m, [nu_lo, nu_hi], k, l, alpha)
+    refine([0, 1])
+    d_lo, d_hi = (rho[:, l - 1, 0] - base[:, k - 1, 0]).tolist()
     return _solve(m, l, k, nu_lo, nu_hi, d_lo, d_hi, alpha)
 
 
@@ -181,18 +183,48 @@ def _solve(
 
 
 def _table(m: int, nus, k_max: int, n_roots: int, alpha: float, shifted: bool = False):
-    """The first `n_roots` polynomial roots, the first `k_max` base zeros and, with
-    `shifted`, the first `k_max` shifted zeros at each order: one row per order."""
+    """Stage one at each order, with the root count checked at every order before any
+    zero search: (rho, base, refine, high).  rho[i, l] and base[i, k] are intervals [lo,
+    hi] on a last axis around root l + 1 and base zero k + 1 at nus[i] (the sorted bracket
+    ends bound the sorted roots).  `refine(rows)` runs stage two there, so lo == hi is
+    exact.  With `shifted`, `high` holds the first `k_max` shifted zeros."""
     pairs = [_pair(m, nu, alpha) for nu in nus]
-    rho = np.array([pair.poly.roots()[:n_roots] for pair in pairs]).reshape(len(nus), n_roots)
-    base = zero_table([pair.base for pair in pairs], k_max)
+    polys = [pair.poly for pair in pairs]
+    brackets = [poly._brackets() for poly in polys]
+    ends = [[sorted(br[j] + band for br in bs)[:n_roots] for bs in brackets]
+            for j, band in ((0, -1e-9), (1, 1e-9))]  # widened by the band Newton keeps to
+    rho = np.stack(np.reshape(ends, (2, len(nus), n_roots)), axis=-1)
+    lo, hi, finish = _zero_stages([pair.base for pair in pairs], k_max)
+    base = np.stack([lo, hi], axis=-1)
+
+    def refine(rows):
+        rows = list(rows)
+        roots = [_lommel._polish_roots(polys[i].coeffs, polys[i].m, brackets[i]) for i in rows]
+        rho[rows] = np.reshape([r[:n_roots] for r in roots], (len(rows), n_roots, 1))
+        base[rows] = finish(rows)[..., None]
+
     high = zero_table([pair.shifted for pair in pairs], k_max) if shifted else None
-    return rho, base, high
+    return rho, base, refine, high
 
 
-def _crossings(m: int, nus, rho, base, alpha: float) -> list:
-    """Solve every sign change of rho[:, l] - base[:, k] between neighbouring
-    orders; the solutions are sorted by nu*, ties kept in (l, k, order) order."""
+def _crossings(m: int, nus, table, alpha: float) -> list:
+    """Solve every sign change of rho[:, l] - base[:, k] between neighbouring orders of a
+    `_table`; the solutions are sorted by nu*, ties kept in (l, k, order) order.  Rows are
+    refined where a sign s (0 if the intervals overlap) is undecided or tied or bounds a
+    sign change (a tie bounds one with the next row).  The other rows keep their interval
+    midpoints, whose d has the decided sign, so the rule below fires as on exact values."""
+    rho, base, refine, _ = table
+    while True:
+        exact = (rho[..., 0] == rho[..., 1]).all(1) & (base[..., 0] == base[..., 1]).all(1)
+        r, z = rho[:, :, None], base[:, None, :]
+        s = (r[..., 0] > z[..., 1]).astype(np.int8) - (r[..., 1] < z[..., 0])
+        zero = (s == 0).any(axis=(1, 2))
+        flip = (s[:-1] * s[1:] < 0).any(axis=(1, 2)) | (zero & exact)[:-1]
+        need = zero | np.append(flip, False) | np.insert(flip, 0, False)
+        if (need <= exact).all():
+            break
+        refine(np.nonzero(need & ~exact)[0])
+    rho, base = rho.mean(axis=-1), base.mean(axis=-1)  # (lo + hi) / 2, exact where lo == hi
     sols = []
     for l in range(rho.shape[1]):
         for k in range(base.shape[1]):
@@ -205,16 +237,11 @@ def _crossings(m: int, nus, rho, base, alpha: float) -> list:
 
 
 def find_in_bracket(m: int, nu_lo: float, nu_hi: float, alpha: float = 0.0) -> list:
-    """All (l, k) crossings inside a bracket, without presuming the pair.
-
-    Evaluates every root of the compensating polynomial and the first 40
-    base zeros at both endpoints and refines each pair whose distance changes
-    sign.
-    """
+    """All (l, k) crossings inside a bracket, without presuming the pair: every root of
+    the compensating polynomial against the first 40 base zeros, at both ends."""
     _check_query(m, nu_lo, nu_hi)
     nus = [nu_lo, nu_hi]
-    rho, base, _ = _table(m, nus, 40, _pair(m, nu_lo, alpha).max_common, alpha)
-    return _crossings(m, nus, rho, base, alpha)
+    return _crossings(m, nus, _table(m, nus, 40, _pair(m, nu_lo, alpha).max_common, alpha), alpha)
 
 
 def scan_nu_star(
@@ -236,8 +263,7 @@ def scan_nu_star(
     grid = [lo]
     while grid[-1] < nu_max:
         grid.append(min(grid[-1] + step, nu_max))
-    rho, base, _ = _table(m, grid, k_max, _pair(m, lo, alpha).max_common, alpha)
-    return _crossings(m, grid, rho, base, alpha)
+    return _crossings(m, grid, _table(m, grid, k_max, _pair(m, lo, alpha).max_common, alpha), alpha)
 
 
 def trace_trajectories(
@@ -255,18 +281,19 @@ def trace_trajectories(
     while nus[-1] + step <= hi + 1e-9 * step:
         nus.append(min(nus[-1] + step, hi))
     n_roots = min(l_max, _pair(m, lo, alpha).max_common)
-    rho, base, high = _table(m, nus, k_max, n_roots, alpha, shifted=True)
+    table = rho, base, refine, high = _table(m, nus, k_max, n_roots, alpha, shifted=True)
+    refine(range(len(nus)))  # a trace prints its curves
 
     tag = _family(alpha).value
-    curves = [(f"{tag}[nu,{k+1}]", base[:, k]) for k in range(k_max)]
+    curves = [(f"{tag}[nu,{k+1}]", base[:, k, 0]) for k in range(k_max)]
     curves += [(f"{tag}[nu+{m},{k+1}]", high[:, k]) for k in range(k_max)]
-    curves += [(f"rho[{m-1},nu,{l+1}]", rho[:, l]) for l in range(n_roots)]
+    curves += [(f"rho[{m-1},nu,{l+1}]", rho[:, l, 0]) for l in range(n_roots)]
     trajectories = []
     for curve_id, column in curves:
         xs = column.tolist()
         _guard_continuity(xs, step)
         trajectories.append(Trajectory(m, curve_id, tuple(zip(nus, xs))))
-    return TraceResult(tuple(trajectories), tuple(_crossings(m, nus, rho, base, alpha)))
+    return TraceResult(tuple(trajectories), tuple(_crossings(m, nus, table, alpha)))
 
 
 def rational_order_margin(m: int, nu: float, K: int = 20) -> float:

@@ -59,18 +59,25 @@ class LommelCoefficients:
 
     def roots(self) -> np.ndarray:
         """The m // 2 positive roots, ascending."""
+        return self._checked(lambda: root_positions(self.m, self.nu, self.kind))
+
+    def _brackets(self) -> list:
+        """Stage one of `roots()` (`_bracket_roots`), under the same two rules."""
+        return self._checked(lambda: _bracket_roots(self.coeffs, self.m))
+
+    def _checked(self, solve):
         from .zeros import ConvergenceError
 
         if self.nu <= 0.0:
             raise ValueError(f"Lommel polynomial roots require nu > 0; nu={self.nu:.6g}")
-        roots = root_positions(self.m, self.nu, self.kind)
-        if len(roots) < self.m // 2:
+        found = solve()
+        if len(found) < self.m // 2:
             star = "*" if self.kind is PolyKind.ASSOCIATED else ""
             raise ConvergenceError(
-                f"found {len(roots)} of the {self.m // 2} positive roots of "
+                f"found {len(found)} of the {self.m // 2} positive roots of "
                 f"R{star}_{{{self.m},{self.nu:.6g}}}"
             )
-        return roots
+        return found
 
     def root_list(self):
         """`roots()` as a ZeroList; `tolerance` is the largest scaled residual
@@ -211,27 +218,22 @@ def _scalar_kernel(coeffs, m: int, derivative: bool = False):
 def root_positions(n: int, nu: float, kind: PolyKind = PolyKind.PLAIN) -> np.ndarray:
     """Positive roots of R_{n,nu} (plain) or R*_{n,nu} (associated), ascending.
 
-    Roots are estimated from the companion matrix of the quadratic-variable
-    polynomial sum c_k u^k, u = (x/2)^2, and accepted only when a sign change
-    is confirmed in a small bracket around the candidate; each accepted root
-    is then refined by bisection plus a Newton polish on the original
-    function, both evaluated by `_scalar_kernel`.  Candidates that cannot be
-    confirmed are dropped; `LommelCoefficients.roots` checks the count.
-
-    The bisection runs at most 80 steps, but each step is a deterministic map
-    of (a, b, fa, fb) with fa = f(a) and fb = f(b).  Once the midpoint rounds
-    to an end point and the step would leave the state as it is, every later
-    step is a no-op too, so the loop stops there with the same result.  The
-    Newton polish of at most 4 steps stops in the same way at a fixed point.
+    Stage one (`_bracket_roots`) keeps the candidates from the companion matrix of
+    sum c_k u^k, u = (x/2)^2, whose sign change a small bracket confirms (`roots()`
+    checks the count); stage two (`_polish_roots`) refines each bracket by bisection
+    and a Newton polish on `_scalar_kernel` to a root within 1e-9 of the bracket.
     """
     coeffs = _plain_coeffs(n, nu) if kind is PolyKind.PLAIN else _assoc_coeffs(n, nu)
+    return _polish_roots(coeffs, n, _bracket_roots(coeffs, n))
+
+
+def _bracket_roots(coeffs, n: int) -> list:
+    """Stage one of `root_positions`: (a, b, f(a), f(b)) with f(a) * f(b) <= 0 per root."""
     if len(coeffs) < 2:
-        return np.empty(0)
+        return []
     f = _scalar_kernel(coeffs, n)
-    fp = _scalar_kernel(coeffs, n, derivative=True)
-    candidates = np.polynomial.Polynomial(coeffs).roots()
-    roots = []
-    for u in candidates:
+    brackets = []
+    for u in np.polynomial.Polynomial(coeffs).roots():
         if abs(u.imag) > 1e-8 * (1.0 + abs(u)) or u.real <= 0.0:
             continue
         x0 = 2.0 * math.sqrt(u.real)
@@ -244,8 +246,22 @@ def root_positions(n: int, nu: float, kind: PolyKind = PolyKind.PLAIN) -> np.nda
             h *= 2.0
             a, b = max(x0 - h, 1e-12), x0 + h
             fa, fb = f(a), f(b)
-        if fa * fb > 0.0:
-            continue
+        if fa * fb <= 0.0:
+            brackets.append((a, b, fa, fb))
+    return brackets
+
+
+def _polish_roots(coeffs, n: int, brackets) -> np.ndarray:
+    """Stage two of `root_positions`: the root in each bracket, ascending.  It lies in
+    [a - 1e-9, b + 1e-9]: bisection keeps inside [a, b], and Newton accepts only points
+    in that band.  The bisection runs at most 80 steps, each a deterministic map of (a,
+    b, fa, fb); once the midpoint rounds to an end and the step would leave the state
+    as it is, every later step is a no-op too, so the loop stops there.  The Newton
+    polish of at most 4 steps stops in the same way at a fixed point."""
+    f = _scalar_kernel(coeffs, n)
+    fp = _scalar_kernel(coeffs, n, derivative=True)
+    roots = []
+    for a, b, fa, fb in brackets:
         for _ in range(80):
             mid = 0.5 * (a + b)
             if mid == b and (fa * fb <= 0.0 or a == b):

@@ -2,17 +2,15 @@
 
 Zeros are located by a vectorized scan-and-bisect: march from a safe starting
 abscissa in half-pi steps until enough sign changes are bracketed, then refine
-every bracket by 48 bisection steps followed by a Newton polish with the
-analytic derivative.  The refinement evaluates the function only where the
-outcome is not known yet: bisection steps whose direction a secant estimate of
-the root makes certain are replayed by arithmetic and certified by the signs at
-the interval they reach (a bracket whose replay fails is bisected in full), and
-Newton stops evaluating at a fixed point; the zeros are bit for bit those of
+every bracket by 48 bisection steps and a Newton polish with the analytic
+derivative, in two stages.  Stage one replays by arithmetic the bisection steps
+whose direction a secant estimate of the root makes certain, and certifies them
+by signs; its interval provably holds the final zero.  Stage two evaluates only
+where the outcome is not known yet, and the zeros are bit for bit those of
 evaluating every step.  `zero_table` scans each order of a grid on its own and
-refines the brackets of all of them in one pass, which gives every zero the
-bits of a one-order call.  Large-index runs of J_nu zeros switch to asymptotic
-initial guesses, whose Newton steps also stop at a fixed point, and which are
-still verified by sign changes and residual checks before being accepted.
+refines all the brackets together, with the bits of a one-order call; a caller
+may stop a row after stage one (`_zero_stages`).  Large-index runs of J_nu zeros
+switch to asymptotic initial guesses, verified by sign changes and residuals.
 
 dj/dnu is computed by three independent routes (finite differences of the
 zero, the squared-Lommel-polynomial series, and the K_0 integral) and the
@@ -113,12 +111,18 @@ def _margin(x):
     return _REPLAY_MARGIN * np.maximum(1.0, np.abs(x))
 
 
-def _refine_brackets(col: FunctionId, brackets, tolerance: float):
-    """Refine bracket i of `brackets` to a zero of the function of order `col.order[i]`:
-    48 bisection steps, a Newton polish of at most 3 steps, and the residual contract.
+def _evaluator(fn, col: FunctionId):
+    """fn(FunctionId) at the orders `col.order[rows]` as a function of (rows, x)."""
+    return lambda rows, x: np.asarray(fn(_rows(col, rows))(x), dtype=float)
 
-    The result is bit for bit that of evaluating f at every step of every bracket;
-    only evaluations whose outcome is known are left out.  Secant steps, clipped to
+
+def _bracket_zeros(col: FunctionId, brackets):
+    """Stage one of refining bracket i to a zero of the order `col.order[i]`: the state
+    (a, b, fa, fb, steps) from which stage two (`_finish_zeros`) bisects on at step
+    `steps[i]`.  [a, b] holds the zero stage two returns: the later bisection only
+    shrinks it, and the Newton polish is clipped to the final [a, b].
+
+    Only evaluations whose outcome is known are left out.  Secant steps, clipped to
     the bracket and stopped once a step is within the margin, estimate each root r.
     A bisection step whose midpoint lies more than the margin `_REPLAY_MARGIN *
     max(1, |r|)` from r goes the way r lies: it is replayed by arithmetic alone, up
@@ -127,21 +131,13 @@ def _refine_brackets(col: FunctionId, brackets, tolerance: float):
     fa * f(a) > 0 where a moved and fa * f(b) <= 0.  That certifies every replayed
     step, because a bracket holds one zero and the computed f changes sign only far
     closer to it than the margin.  A bracket whose replay fails is bisected in full
-    from its ends.  From the first uncertain step on, each step evaluates f at the
-    midpoints of the brackets still bisecting, with the rule fa * f(mid) <= 0; a
-    midpoint that rounds to an end takes the value f has there.  The Newton polish
-    stops at a fixed point (`_newton`).
+    from its ends.
     """
     a = np.asarray([b[0] for b in brackets], dtype=float)
     b = np.asarray([b[1] for b in brackets], dtype=float)
     n = a.size
     every = np.arange(n)
-
-    def f(rows, x):
-        return np.asarray(_special.value_fn(_rows(col, rows))(x), dtype=float)
-
-    def fp(rows, x):
-        return np.asarray(_special.derivative_fn(_rows(col, rows))(x), dtype=float)
+    f = _evaluator(_special.value_fn, col)
 
     ends = f(np.concatenate([every, every]), np.concatenate([a, b]))
     fa0, fb0 = ends[:n], ends[n:]
@@ -186,7 +182,16 @@ def _refine_brackets(col: FunctionId, brackets, tolerance: float):
         fb[moved] = np.where(held, fb_r, fb0[moved])
         lost = moved[~held]
         a[lost], b[lost], steps[lost] = a0[lost], b0[lost], 0
+    return a, b, fa, fb, steps
 
+
+def _finish_zeros(col: FunctionId, state, tolerance: float):
+    """Stage two, in place on the state: the rest of the 48 bisection steps by the rule
+    fa * f(mid) <= 0 (a midpoint that rounds to an end takes the value f has there), a
+    Newton polish of at most 3 steps (`_newton`) and the residual contract."""
+    a, b, fa, fb, steps = state
+    every = np.arange(a.size)
+    f, fp = _evaluator(_special.value_fn, col), _evaluator(_special.derivative_fn, col)
     for k in range(int(steps.min()), 48):
         live = every[steps <= k]
         al, bl, fal, fbl = a[live], b[live], fa[live], fb[live]
@@ -254,20 +259,26 @@ def _newton(f, fp, x, count: int, step):
 def _scan_start(fid: FunctionId) -> float:
     if fid.kind in (Kind.BESSEL_J, Kind.BESSEL_J_PRIME):
         return max(1e-3, fid.order)
-    return 1e-3
+    # double x from 1e-3 up to the order while Y_nu overflows: |sin(alpha) Y_nu| is
+    # infinite below that point, so C_nu has one sign there and no zero is skipped
+    x, f = 1e-3, _special.value_fn(fid)
+    with np.errstate(over="ignore", invalid="ignore"):  # at alpha = 0, 0 * inf is nan
+        while x < fid.order and not np.isfinite(f(x)):
+            x = min(2.0 * x, fid.order)
+    return x
 
 
 def _validate_run(f, xs: np.ndarray) -> None:
     """Confirm a refined run of zeros is sound: ordered, well separated, and
-    f alternates sign at the gap midpoints (so no zero was merged or skipped)."""
-    if xs.size <= 1:
+    f alternates sign at the gap midpoints (so no zero was merged or skipped); 2-D: by row."""
+    if xs.shape[-1] <= 1:
         return
     gaps = np.diff(xs)
     if gaps.min() < 1.0:
         raise ConvergenceError(f"suspiciously close zeros (gap {gaps.min():.3g})")
-    mids = 0.5 * (xs[:-1] + xs[1:])
+    mids = 0.5 * (xs[..., :-1] + xs[..., 1:])
     signs = np.sign(np.asarray(f(mids), dtype=float))
-    if (signs == 0).any() or (signs[:-1] == signs[1:]).any():
+    if (signs == 0).any() or (signs[..., :-1] == signs[..., 1:]).any():
         raise ConvergenceError("sign pattern between consecutive zeros is not alternating")
 
 
@@ -294,9 +305,9 @@ def zeros(fid: FunctionId, K: int, tolerance: float = 1e-12) -> ZeroList:
     fp = _special.derivative_fn(fid)
 
     xs = None
-    if fid.kind is Kind.BESSEL_J and K > _BULK_SWITCH:
-        head_n = max(12, int(math.ceil(max(fid.order, 0.0))) + 4)
-        head, head_res = _scan_and_refine([fid], head_n, tolerance)
+    head_n = max(12, int(math.ceil(max(fid.order, 0.0))) + 4)
+    if fid.kind is Kind.BESSEL_J and K > max(_BULK_SWITCH, head_n):
+        head, head_res = _scan([fid], head_n)[2]([0], tolerance)
         ks = np.arange(head_n + 1, K + 1, dtype=float)
         tail, tail_f, tail_fp = _newton(
             lambda _, x: f(x), lambda _, x: fp(x), _mcmahon_j(fid.order, ks), 4,
@@ -313,7 +324,7 @@ def zeros(fid: FunctionId, K: int, tolerance: float = 1e-12) -> ZeroList:
         except ConvergenceError:
             xs = None
     if xs is None:
-        rows, res = _scan_and_refine([fid], K, tolerance)
+        rows, res = _scan([fid], K)[2]([0], tolerance)
         xs, res = rows[0], res[0]
         method = "scan + bisection/Newton"
 
@@ -327,36 +338,52 @@ def zeros(fid: FunctionId, K: int, tolerance: float = 1e-12) -> ZeroList:
 
 
 def zero_table(fids, K: int) -> np.ndarray:
-    """`zeros(fid, K).zeros` for each fid of a sequence, bit for bit, as rows.  The fids
-    share one kind and alpha; J_nu rows of more than `_BULK_SWITCH` zeros go to `zeros()`
-    one by one, the others share passes of at most `_BATCH_BRACKETS` brackets."""
+    """`zeros(fid, K).zeros` for each fid of a sequence, bit for bit, as rows (both stages)."""
+    return _zero_stages(fids, K)[2](range(len(fids)))
+
+
+def _zero_stages(fids, K: int):
+    """Stage one of `zero_table(fids, K)`, validated on interval midpoints: (lo, hi, finish).
+    Zero k of row i lies in [lo[i, k], hi[i, k]]; `finish(rows)` (stage two) returns those
+    rows.  J_nu rows of over `_BULK_SWITCH` zeros come exact from `zeros()`."""
     for fid in fids:
         _check_domain(fid, K)
     if len({(fid.kind, fid.alpha) for fid in fids}) > 1:
         raise DomainError("zero_table requires one kind and one alpha")
-    if K == 0 or not fids:
-        return np.empty((len(fids), K))
-    if fids[0].kind is Kind.BESSEL_J and K > _BULK_SWITCH:
-        return np.array([zeros(fid, K).zeros for fid in fids])
-    n = max(1, _BATCH_BRACKETS // K)  # rows per pass; 1e-12 is the default tolerance of zeros()
-    parts = [_scan_and_refine(fids[i : i + n], K, 1e-12)[0] for i in range(0, len(fids), n)]
-    return np.concatenate(parts)
+    if K == 0 or not fids or (fids[0].kind is Kind.BESSEL_J and K > _BULK_SWITCH):
+        table = np.array([zeros(fid, K).zeros for fid in fids]).reshape(len(fids), K)
+        return table, table, lambda rows: table[list(rows)]
+    lo, hi, finish = _scan(fids, K)
+    orders = np.array([fid.order for fid in fids])[:, None]
+    _validate_run(_special.value_fn(FunctionId(fids[0].kind, orders, fids[0].alpha)), (lo + hi) / 2)
+    return lo, hi, lambda rows: finish(rows, 1e-12)[0]  # the default tolerance of zeros()
 
 
-def _scan_and_refine(fids, K: int, tolerance: float):
-    """The first K zeros of each fid and their residuals, one validated row per fid: each
-    fid is scanned alone, and all the brackets share one refinement over an order column."""
+def _scan(fids, K: int):
+    """Stage one of the first K zeros of each fid, scanned alone: (a, b, finish), where
+    `finish(rows, tolerance)` is stage two; a pass holds at most `_BATCH_BRACKETS` brackets."""
     brackets = []
     for fid in fids:
         x0 = _scan_start(fid)
         limit = x0 + (K + 20) * math.pi * 2.0 + 100.0
         brackets += _scan_brackets(_special.value_fn(fid), x0, K, math.pi / 2.0, limit)
     col = FunctionId(fids[0].kind, np.repeat([fid.order for fid in fids], K), fids[0].alpha)
-    xs, res = _refine_brackets(col, brackets, tolerance)
-    xs, res = xs.reshape(len(fids), K), res.reshape(len(fids), K)
-    for fid, row in zip(fids, xs):
-        _validate_run(_special.value_fn(fid), row)
-    return xs, res
+    n = max(1, _BATCH_BRACKETS // K)  # rows per pass
+    parts = [_bracket_zeros(_rows(col, slice(i, i + n * K)), brackets[i : i + n * K])
+             for i in range(0, len(brackets), n * K)]
+    state = [np.concatenate(v) for v in zip(*parts)]
+
+    def finish(rows, tolerance):
+        rows, parts = np.asarray(rows, dtype=int), []
+        for i in range(0, rows.size, n):
+            idx = (rows[i : i + n, None] * K + np.arange(K)).ravel()
+            parts.append(_finish_zeros(_rows(col, idx), [v[idx] for v in state], tolerance))
+        xs, res = (np.concatenate(v).reshape(-1, K) for v in zip(*parts))
+        for i, row in zip(rows, xs):
+            _validate_run(_special.value_fn(fids[i]), row)
+        return xs, res
+
+    return state[0].reshape(-1, K), state[1].reshape(-1, K), finish
 
 
 def watson_derivative(nu: float, c: float) -> float:

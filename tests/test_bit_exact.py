@@ -296,7 +296,7 @@ def _refine_cases():
     rng = random.Random(2024)
     for kind in (Kind.BESSEL_J, Kind.CYLINDER, Kind.BESSEL_J_PRIME):
         for _ in range(10):
-            # the scan of C_nu starts at x = 1e-3, where Y_nu overflows once nu passes 60
+            # orders where the scan of C_nu starts at x = 1e-3 (Y_nu overflows there past ~62)
             nu = rng.uniform(0.0, 50.0 if kind is Kind.CYLINDER else 110.0)
             alpha = rng.uniform(0.01, math.pi - 0.01) if kind is Kind.CYLINDER else None
             yield FunctionId(kind, nu, alpha=alpha), rng.randint(1, 80)

@@ -381,3 +381,21 @@ def test_trajectory_stops_at_nu_to(capsys):
     nus = [nu for t in doc["trajectories"] for nu, _ in t["samples"]]
     assert max(nus) <= 5.0000000000035
     assert len(doc["trajectories"][0]["samples"]) == 4
+
+
+def test_zeros_count_is_what_was_asked(capsys):
+    import mpmath as mp
+
+    code, out, _ = run_cli(capsys, "zeros", "--kind", "j", "--nu", "100", "--count", "85", "--format", "csv")
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 85
+    for k, row in enumerate(rows, 1):
+        zero = float(row.split(",")[1])
+        assert zero == pytest.approx(float(mp.besseljzero(100, k)), rel=1e-13)
+
+
+def test_high_order_cylinder_zeros_exit_0(capsys):
+    code, out, _ = run_cli(capsys, "zeros", "--kind", "c", "--nu", "70", "--alpha", "1", "--count", "3", "--format", "csv")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 4

@@ -193,13 +193,16 @@ def test_table_refines_each_function_in_one_pass(monkeypatch):
     from bessel_lommel.continuation import _table
 
     zeros_mod = importlib.import_module("bessel_lommel.zeros")
-    calls = []
-    refine = zeros_mod._refine_brackets
-    monkeypatch.setattr(zeros_mod, "_refine_brackets", lambda *a: calls.append(1) or refine(*a))
+    calls = {"_bracket_zeros": [], "_finish_zeros": []}
+    for name, seen in calls.items():
+        stage = getattr(zeros_mod, name)
+        monkeypatch.setattr(zeros_mod, name, lambda *a, stage=stage, seen=seen: seen.append(1) or stage(*a))
     nus = [5.0 + 0.0625 * i for i in range(17)]
-    rho, base, high = _table(5, nus, 3, 2, 0.0, shifted=True)
-    assert len(calls) == 2
-    assert rho.shape == (17, 2) and base.shape == high.shape == (17, 3)
+    rho, base, refine, high = _table(5, nus, 3, 2, 0.0, shifted=True)
+    refine(range(17))
+    for seen in calls.values():  # stage one and stage two, each in one pass per function
+        assert len(seen) == 2
+    assert rho.shape == (17, 2, 2) and base.shape == (17, 3, 2) and high.shape == (17, 3)
 
 
 def test_solve_takes_bracket_ends_from_its_grid(monkeypatch):

@@ -1,0 +1,197 @@
+"""The staged refinement: stage one gives certified intervals, stage two the exact
+values, and a common-zero query refines only the orders a crossing needs.
+
+A query's answers must be bit for bit those of refining every order, so each
+case below is answered twice: as is, and with every stage-one interval of the
+base zeros widened to the whole line, so that no sign is decided and every row
+is refined.  Results are compared as `float.hex`, and an error by its type and
+message.
+"""
+
+import importlib
+import math
+import random
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+import bessel_lommel as bl
+from bessel_lommel import lommel as L
+from bessel_lommel.lommel import PolyKind
+from bessel_lommel.special import FunctionId, Kind
+
+C = importlib.import_module("bessel_lommel.continuation")
+Z = importlib.import_module("bessel_lommel.zeros")
+
+
+def _answer(query):
+    try:
+        return [{k: v.hex() if isinstance(v, float) else v for k, v in s.as_dict().items()}
+                for s in query()]
+    except Exception as exc:  # the same error must come first on both paths
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _undecided(monkeypatch):
+    stages = C._zero_stages
+
+    def unbounded(fids, K):
+        lo, hi, finish = stages(fids, K)
+        return np.full_like(lo, -np.inf), np.full_like(hi, np.inf), finish
+
+    monkeypatch.setattr(C, "_zero_stages", unbounded)
+
+
+def _refined_rows(monkeypatch):
+    """Record the rows each `_table` of a query sends to stage two."""
+    seen = []
+    table = C._table
+
+    def recording(*args, **kwargs):
+        rho, base, refine, high = table(*args, **kwargs)
+        return rho, base, lambda rows: seen.extend(rows) or refine(rows), high
+
+    monkeypatch.setattr(C, "_table", recording)
+    return seen
+
+
+def _cases():
+    for alpha in (0.0, 0.7, 2.5):
+        for m in range(3, 21):  # gaps 3..20: most of these windows hold a crossing
+            yield lambda m=m, a=alpha: bl.scan_nu_star(m, 6, 5.0, nu_min=3.0, alpha=a)
+        for m in (3, 5, 12):  # windows at the order floor, false solutions included
+            yield lambda m=m, a=alpha: bl.scan_nu_star(m, 3, 3.0, alpha=a)
+        yield lambda a=alpha: bl.find_in_bracket(5, 5.619, 5.62, alpha=a)
+        yield lambda a=alpha: bl.find_in_bracket(7, 4.0, 4.5, alpha=a)
+    yield lambda: bl.find_in_bracket(12, -0.8, -0.7)
+    yield lambda: bl.find_in_bracket(4, 0.05, 0.1, alpha=3.0)  # refused by Pair.common
+    yield lambda: bl.scan_nu_star(61, 2, 50.3, nu_min=50.0)  # too few roots at an order
+
+
+def _solve_inputs(monkeypatch):
+    """Record the arguments of every `_solve` call, floats as `float.hex`."""
+    seen = []
+    solve = C._solve
+
+    def recording(*args):
+        seen.append([a.hex() if isinstance(a, float) else a for a in args])
+        return solve(*args)
+
+    monkeypatch.setattr(C, "_solve", recording)
+    return seen
+
+
+def test_staged_answers_match_full_refinement_bitwise(monkeypatch):
+    cases = list(_cases())
+    inputs = _solve_inputs(monkeypatch)
+    staged = [_answer(q) for q in cases]
+    staged_inputs = inputs[:]
+    inputs.clear()
+    _undecided(monkeypatch)
+    full = [_answer(q) for q in cases]
+    assert staged == full
+    assert staged_inputs == inputs  # the same table values reach every solve
+    assert sum(isinstance(a, list) and len(a) for a in staged) > 40  # solutions were compared
+    assert staged[-1].startswith("ConvergenceError: found 20 of the 30 positive roots")
+    assert staged[-2].startswith("BracketError")
+
+
+def test_undecided_signs_refine_every_row(monkeypatch):
+    seen = _refined_rows(monkeypatch)
+    _undecided(monkeypatch)
+    bl.scan_nu_star(4, 3, 12.0, nu_min=8.0)
+    assert sorted(seen) == list(range(33))
+
+
+def test_window_without_crossing_refines_few_orders(monkeypatch):
+    seen = _refined_rows(monkeypatch)
+    assert bl.scan_nu_star(4, 3, 12.0, nu_min=8.0) == []
+    assert len(seen) <= 3
+
+
+def test_crossing_refines_the_orders_that_bound_it(monkeypatch):
+    seen = _refined_rows(monkeypatch)
+    (sol,) = bl.scan_nu_star(5, 6, 7.0, nu_min=5.0)
+    lo, hi = sol.bracket
+    assert {lo, hi} <= {5.0 + 0.125 * i for i in seen}
+    assert len(seen) < 17
+
+
+def test_exact_tie_refines_the_next_order(monkeypatch):
+    # row 0 is exact and ties (d = 0), so its sign change is solved with row 1's exact
+    # value although row 1's intervals decide d > 0; row 2 is never needed
+    rho = np.array([[[5.0, 5.0]], [[6.0, 6.2]], [[7.0, 7.2]]])
+    base = np.array([[[5.0, 5.0]], [[5.5, 5.6]], [[6.5, 6.6]]])
+    exact = {1: (6.05, 5.52), 2: (7.05, 6.52)}
+    refined, solved = [], []
+
+    def refine(rows):
+        refined.extend(rows)
+        for i in rows:
+            rho[i], base[i] = exact[i]
+
+    monkeypatch.setattr(C, "_solve", lambda *a: solved.append(a) or SimpleNamespace(nu_star=a[3]))
+    C._crossings(4, [1.0, 1.125, 1.25], (rho, base, refine, None), 0.0)
+    assert refined == [1]
+    assert solved == [(4, 1, 1, 1.0, 1.125, 0.0, 6.05 - 5.52, 0.0)]
+
+
+@pytest.mark.parametrize("m, nu, alpha", [(5, 5.0, 0.0), (9, 2.0, 0.0), (7, 3.0, 1.3), (12, 0.5, 2.9)])
+def test_table_values_lie_in_their_stage_one_intervals(m, nu, alpha):
+    nus = [nu + 0.125 * i for i in range(9)]
+    rho, base, refine, _ = C._table(m, nus, 5, C._pair(m, nu, alpha).max_common, alpha)
+    stage_one = rho.copy(), base.copy()
+    refine(range(len(nus)))
+    for interval, table in zip(stage_one, (rho, base)):
+        assert (table[..., 0] == table[..., 1]).all()
+        assert ((interval[..., 0] <= table[..., 0]) & (table[..., 0] <= interval[..., 1])).all()
+
+
+def test_rows_never_refined_are_validated_on_interval_midpoints(monkeypatch):
+    seen = []
+    validate = Z._validate_run
+    monkeypatch.setattr(Z, "_validate_run", lambda f, xs: seen.append(xs) or validate(f, xs))
+    rho, base, refine, _ = C._table(4, [8.0 + 0.125 * i for i in range(33)], 3, 1, 0.0)
+    assert seen[0].shape == (33, 3)
+    assert (seen[0] == base.mean(axis=-1)).all() and (base[..., 0] < base[..., 1]).all()
+
+
+def test_root_deficit_is_found_before_any_zero_search(monkeypatch):
+    calls = []
+    monkeypatch.setattr(Z, "_scan", lambda *a: calls.append(1) or pytest.fail("zero search ran"))
+    with pytest.raises(Z.ConvergenceError, match="found 20 of the 30 positive roots"):
+        bl.scan_nu_star(61, 2, 50.3, nu_min=50.0)
+    assert calls == []
+
+
+def _zero_cases():
+    rng = random.Random(11)
+    for kind in (Kind.BESSEL_J, Kind.BESSEL_J_PRIME, Kind.CYLINDER):
+        for _ in range(6):
+            alpha = rng.uniform(0.0, math.pi - 0.01) if kind is Kind.CYLINDER else None
+            nus = [rng.uniform(0.0, 60.0) for _ in range(rng.randint(1, 5))]
+            yield [FunctionId(kind, nu, alpha=alpha) for nu in nus], rng.randint(1, 80)
+
+
+@pytest.mark.parametrize("fids, K", list(_zero_cases()))
+def test_zeros_lie_in_their_stage_one_intervals(fids, K):
+    lo, hi, finish = Z._zero_stages(fids, K)
+    table = finish(range(len(fids)))
+    assert ((lo <= table) & (table <= hi)).all()
+    assert (lo < hi).all()  # no row is exact before stage two
+    assert [row.tobytes() for row in table] == [row.tobytes() for row in Z.zero_table(fids, K)]
+
+
+def test_roots_lie_in_their_brackets():
+    rng = random.Random(12)
+    for _ in range(60):
+        n, nu = rng.randint(1, 40), rng.uniform(0.01, 60.0)
+        kind = rng.choice(list(PolyKind))
+        coeffs = L._plain_coeffs(n, nu) if kind is PolyKind.PLAIN else L._assoc_coeffs(n, nu)
+        brackets = L._bracket_roots(coeffs, n)
+        roots = [L._polish_roots(coeffs, n, [br])[0] for br in brackets]
+        for (a, b, fa, fb), x in zip(brackets, roots):
+            assert fa * fb <= 0.0
+            assert a - 1e-9 <= x <= b + 1e-9, (n, nu, kind)
+        assert sorted(roots) == L.root_positions(n, nu, kind).tolist()

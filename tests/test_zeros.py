@@ -182,13 +182,17 @@ def test_zero_table_matches_zeros_bitwise(K):
 
 
 def test_zero_table_splits_long_grids_into_bounded_passes(monkeypatch):
-    calls = []
-    refine = ZEROS._refine_brackets
+    # both stages of the refinement run in the same bounded passes
+    calls = {"_bracket_zeros": [], "_finish_zeros": []}
     monkeypatch.setattr(ZEROS, "_BATCH_BRACKETS", 10)
-    monkeypatch.setattr(ZEROS, "_refine_brackets", lambda *a: calls.append(len(a[1])) or refine(*a))
+    for name, seen in calls.items():
+        stage = getattr(ZEROS, name)
+        counted = lambda col, *a, stage=stage, seen=seen: seen.append(col.order.size) or stage(col, *a)
+        monkeypatch.setattr(ZEROS, name, counted)
     fids = [jfid(nu) for nu in (0.5, 1.0, 1.5, 2.0, 2.5)]
     table = bl.zero_table(fids, 5)
-    assert calls == [10, 10, 5]
+    for seen in calls.values():
+        assert seen == [10, 10, 5]
     monkeypatch.undo()
     for fid, row in zip(fids, table):
         assert _hex(row) == _hex(bl.zeros(fid, 5).zeros)
@@ -203,3 +207,33 @@ def test_zero_table_shares_the_domain_checks_of_zeros():
         bl.zero_table([jfid(1.0), bl.FunctionId(bl.Kind.BESSEL_J_PRIME, 1.0)], 3)
     assert bl.zero_table([jfid(1.0)], 0).shape == (1, 0)
     assert bl.zero_table([], 4).shape == (0, 4)
+
+
+def test_bulk_route_returns_exactly_k_zeros():
+    # J_100 needs a head of 104 zeros before the asymptotic tail, more than the 85 asked
+    zl = bl.zeros(jfid(100.0), 85)
+    assert len(zl) == 85 and zl.method == "scan + bisection/Newton"
+    assert bl.zero_table([jfid(100.0), jfid(101.5)], 85).shape == (2, 85)
+    assert len(bl.zeros(jfid(100.0), 105)) == 105
+
+
+@pytest.mark.parametrize("nu, alpha", [(63.0, 2.9), (70.0, 1.0), (100.0, 0.3), (120.0, 2.0), (80.0, 0.0)])
+def test_cylinder_zeros_of_high_order_match_mpmath(nu, alpha):
+    # Y_nu overflows at the old scan start x = 1e-3 from order ~62 on
+    import mpmath as mp
+
+    zs = bl.zeros(bl.FunctionId(bl.Kind.CYLINDER, nu, alpha=alpha), 3).zeros
+    c = lambda x: mp.cos(alpha) * mp.besselj(nu, x) - mp.sin(alpha) * mp.bessely(nu, x)
+    with mp.workdps(30):
+        for k, z in enumerate(zs, 1):
+            assert abs(mp.findroot(c, mp.mpf(z)) - z) <= 2e-15 * z
+            if alpha > 0.0:  # c_{nu,k} lies between j_{nu,k-1} and j_{nu,k}, so none was skipped
+                assert (mp.besseljzero(nu, k - 1) if k > 1 else 0) < z < mp.besseljzero(nu, k)
+            else:
+                assert abs(z - mp.besseljzero(nu, k)) <= 2e-15 * z
+
+
+def test_cylinder_scan_starts_at_1e3_where_finite():
+    assert ZEROS._scan_start(bl.FunctionId(bl.Kind.CYLINDER, 50.0, alpha=1.0)) == 1e-3
+    start = ZEROS._scan_start(bl.FunctionId(bl.Kind.CYLINDER, 70.0, alpha=1.0))
+    assert 1e-3 < start <= 70.0
