@@ -202,17 +202,28 @@ def _cmd_interlace(args, cfg: RunConfig) -> int:
     return 0 if report.ok else 1
 
 
+def _refuse(args, query: str, *names: str) -> None:
+    """A usage error for any of the flags `names` that `query` would ignore."""
+    given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise UsageError(f"{query} takes no {', '.join(given)}")
+
+
 def _cmd_common_zero(args, cfg: RunConfig) -> int:
     alpha = args.alpha or 0.0
     if args.scan:
         if args.nu_max is None or args.k_max is None:
             raise UsageError("--scan requires --nu-max and --k-max")
+        _refuse(args, "--scan", "bracket", "l", "k")
         sols = _continuation.scan_nu_star(args.m, args.k_max, args.nu_max, alpha=alpha)
     else:
         if args.bracket is None:
             raise UsageError("either --scan or --bracket LO HI is required")
+        _refuse(args, "--bracket", "nu_max", "k_max")
+        if (args.l is None) != (args.k is None):
+            raise UsageError("--l and --k go together: both solve one (l, k) pair")
         lo, hi = args.bracket
-        if args.l is not None and args.k is not None:
+        if args.l is not None:
             sols = [_continuation.solve_nu_star(args.m, args.l, args.k, lo, hi, alpha=alpha)]
         else:
             sols = _continuation.find_in_bracket(args.m, lo, hi, alpha=alpha)

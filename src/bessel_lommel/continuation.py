@@ -1,33 +1,31 @@
 """Orders nu* at which J_nu and J_{nu+m} share a positive zero.
 
-A common zero appears exactly when some root rho of the compensating
-polynomial R_{m-1,nu+1} collides with a zero j_{nu,k}: the distance
-
-    d(nu) = rho_{m-1,nu,l} - j_{nu,k}
-
-is continuous in nu.  A scan, bracket or trace query tabulates its orders once
-(`_table`), as certified intervals around each root and zero; two disjoint
-intervals decide the sign of d.  Only the orders next to a sign change, or where
-a sign is undecided, are refined to exact values, and each sign change is solved
-from the two exact table values that found it.  Only `Pair.common` accepts the
-solution, so a sign change made by a root or zero swapping identity is refused
-there; a trace refines every order and keeps the continuity guard on the curves
-it prints.  Cylinder functions take c_{nu,k} in place of j_{nu,k}.  The crossing
-orders are irrational (no rational order can produce a common zero), which is
-reported as an annotation rather than asserted numerically.
+At a zero z of J_nu, J_{nu+m}(z) = -R_{m-1,nu+1}(z) J_{nu-1}(z) (Watson 9.6), so a
+common zero appears exactly where g_k(nu) = J_{nu+m}(j_{nu,k}) changes sign, and
+there the distance d(nu) = rho_{m-1,nu,l} - j_{nu,k} of one root of R_{m-1,nu+1}
+changes sign too.  A scan, bracket or trace query tabulates its orders once
+(`_table`), as a certified interval around each zero and the signs of J_{nu+m} at
+its ends, which fix the sign of g where they agree.  Only the orders next to a sign
+change of g, or where a sign is undecided, get exact zeros, and only the two orders
+of a sign change get Lommel roots: the one root whose d changes sign names the
+crossing, which is solved from those two values of d.  Only `Pair.common` accepts
+the solution; a trace solves every order and keeps the continuity guard on the
+curves it prints.  Cylinder functions take C_nu and c_{nu,k} in place of J_nu and
+j_{nu,k}.  The crossing orders are irrational (no rational order can produce a
+common zero), which is reported as an annotation rather than asserted numerically.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import lommel as _lommel
 from . import special as _special
 from .interlace import Family, Pair
-from .special import DomainError
+from .special import DomainError, FunctionId
 from .zeros import _zero_stages, zero_table, zeros
 
 
@@ -42,7 +40,7 @@ class IndexCrossingError(RuntimeError):
 _SLOPE_BOUND = 5.0
 # lowest order of a scan, just above the family's domain floor
 _SCAN_FLOOR = {Family.BESSEL_J: -1.0 + 1.0 / 16.0, Family.CYLINDER: 1e-3}
-# most orders an order grid may hold; each order costs a root solve and a zero search
+# most orders an order grid may hold; each order costs a zero search
 _MAX_ORDERS = 10_000
 
 
@@ -149,9 +147,9 @@ def solve_nu_star(
     table of the two ends; accept it only if `Pair.common` takes x* for a common zero."""
     _check_query(m, nu_lo, nu_hi)
     _check_index(_pair(m, nu_lo, alpha), l, k)
-    rho, base, refine, _ = _table(m, [nu_lo, nu_hi], k, l, alpha)
+    base, _, refine, roots, _ = _table(m, [nu_lo, nu_hi], k, alpha)
     refine([0, 1])
-    d_lo, d_hi = (rho[:, l - 1, 0] - base[:, k - 1, 0]).tolist()
+    d_lo, d_hi = (float(roots(i)[l - 1] - base[i, k - 1, 0]) for i in (0, 1))
     return _solve(m, l, k, nu_lo, nu_hi, d_lo, d_hi, alpha)
 
 
@@ -182,66 +180,73 @@ def _solve(
     return NuStarSolution(m, l, k, float(nu_star), float(x_star), res_lo, res_hi, (nu_lo, nu_hi), alpha)
 
 
-def _table(m: int, nus, k_max: int, n_roots: int, alpha: float, shifted: bool = False):
-    """Stage one at each order, with the root count checked at every order before any
-    zero search: (rho, base, refine, high).  rho[i, l] and base[i, k] are intervals [lo,
-    hi] on a last axis around root l + 1 and base zero k + 1 at nus[i] (the sorted bracket
-    ends bound the sorted roots).  `refine(rows)` runs stage two there, so lo == hi is
-    exact.  With `shifted`, `high` holds the first `k_max` shifted zeros."""
+def _table(m: int, nus, k_max: int, alpha: float, shifted: bool = False):
+    """Stage one of the first `k_max` base zeros at each order: (base, g, refine, roots,
+    high).  base[i, k] is an interval [lo, hi] on a last axis around base zero k + 1 at
+    nus[i], and g[i, k] the signs of the shifted function at its two ends.  `refine(rows)`
+    runs stage two there, so lo == hi is exact and g is the sign at the zero.  `roots(i)`
+    solves the Lommel roots at nus[i] on first use, through `roots()` and its count
+    check.  With `shifted`, `high` holds the first `k_max` shifted zeros."""
     pairs = [_pair(m, nu, alpha) for nu in nus]
-    polys = [pair.poly for pair in pairs]
-    brackets = [poly._brackets() for poly in polys]
-    ends = [[sorted(br[j] + band for br in bs)[:n_roots] for bs in brackets]
-            for j, band in ((0, -1e-9), (1, 1e-9))]  # widened by the band Newton keeps to
-    rho = np.stack(np.reshape(ends, (2, len(nus), n_roots)), axis=-1)
     lo, hi, finish = _zero_stages([pair.base for pair in pairs], k_max)
     base = np.stack([lo, hi], axis=-1)
+    g, fid = np.empty_like(base), pairs[0].shifted
+    orders = np.asarray(nus, dtype=float) + m  # bit for bit the pairs' shifted orders
+
+    def sign(rows):
+        f = _special.value_fn(FunctionId(fid.kind, orders[rows, None, None], fid.alpha))
+        g[rows] = np.sign(f(base[rows]))
 
     def refine(rows):
         rows = list(rows)
-        roots = [_lommel._polish_roots(polys[i].coeffs, polys[i].m, brackets[i]) for i in rows]
-        rho[rows] = np.reshape([r[:n_roots] for r in roots], (len(rows), n_roots, 1))
         base[rows] = finish(rows)[..., None]
+        sign(rows)
 
+    sign(np.arange(len(nus)))
     high = zero_table([pair.shifted for pair in pairs], k_max) if shifted else None
-    return rho, base, refine, high
+    return base, g, refine, functools.cache(lambda i: pairs[i].poly.roots()), high
 
 
 def _crossings(m: int, nus, table, alpha: float) -> list:
-    """Solve every sign change of rho[:, l] - base[:, k] between neighbouring orders of a
-    `_table`; the solutions are sorted by nu*, ties kept in (l, k, order) order.  Rows are
-    refined where a sign s (0 if the intervals overlap) is undecided or tied or bounds a
-    sign change (a tie bounds one with the next row).  The other rows keep their interval
-    midpoints, whose d has the decided sign, so the rule below fires as on exact values."""
-    rho, base, refine, _ = table
+    """Solve every sign change of g[:, k] between neighbouring orders of a `_table`,
+    sorted by nu*.  Rows are refined where a sign is undecided (the two end signs differ
+    or vanish) or bounds a sign change; on exact rows a change is g[i] == 0.0 or
+    g[i] * g[i+1] < 0.0.  The other rows keep their end sign: zeros of the shifted
+    function (order > 2) lie more than pi apart and a stage-one interval is at most pi/2
+    wide, so equal nonzero signs at both ends are the sign at the zero.  At the two
+    orders of a change, the one root l whose d = rho_l - z_k changes sign by the same rule
+    names the crossing; none or several is a BracketError."""
+    base, g, refine, roots, _ = table
     while True:
-        exact = (rho[..., 0] == rho[..., 1]).all(1) & (base[..., 0] == base[..., 1]).all(1)
-        r, z = rho[:, :, None], base[:, None, :]
-        s = (r[..., 0] > z[..., 1]).astype(np.int8) - (r[..., 1] < z[..., 0])
-        zero = (s == 0).any(axis=(1, 2))
-        flip = (s[:-1] * s[1:] < 0).any(axis=(1, 2)) | (zero & exact)[:-1]
+        exact = (base[..., 0] == base[..., 1]).all(1)
+        s = np.where(g[..., 0] == g[..., 1], g[..., 0], 0.0)  # 0 where undecided or nan
+        zero = (s == 0).any(1)
+        flip = (s[:-1] * s[1:] < 0).any(1) | (zero & exact)[:-1]
         need = zero | np.append(flip, False) | np.insert(flip, 0, False)
         if (need <= exact).all():
             break
         refine(np.nonzero(need & ~exact)[0])
-    rho, base = rho.mean(axis=-1), base.mean(axis=-1)  # (lo + hi) / 2, exact where lo == hi
     sols = []
-    for l in range(rho.shape[1]):
-        for k in range(base.shape[1]):
-            d = (rho[:, l] - base[:, k]).tolist()
-            for i in range(len(nus) - 1):
-                if d[i] == 0.0 or d[i] * d[i + 1] < 0.0:
-                    sols.append(_solve(m, l + 1, k + 1, nus[i], nus[i + 1], d[i], d[i + 1], alpha))
+    for i, k in np.argwhere((s[:-1] == 0.0) | (s[:-1] * s[1:] < 0.0)).tolist():
+        d = np.array([roots(i), roots(i + 1)]) - base[i : i + 2, k, 0, None]
+        (ls,) = np.nonzero((d[0] == 0.0) | (d[0] * d[1] < 0.0))
+        if ls.size != 1:
+            raise BracketError(
+                f"f_{{nu+{m}}} at base zero {k + 1} changes sign between nu = {nus[i]:.12g} "
+                f"and {nus[i + 1]:.12g}, where {ls.size} roots cross it: it gives no common zero"
+            )
+        (l,) = ls.tolist()
+        sols.append(_solve(m, l + 1, k + 1, nus[i], nus[i + 1], *d[:, l].tolist(), alpha))
     sols.sort(key=lambda s: s.nu_star)
     return sols
 
 
 def find_in_bracket(m: int, nu_lo: float, nu_hi: float, alpha: float = 0.0) -> list:
-    """All (l, k) crossings inside a bracket, without presuming the pair: every root of
-    the compensating polynomial against the first 40 base zeros, at both ends."""
+    """All (l, k) crossings inside a bracket, without presuming the pair: the sign of the
+    shifted function at each of the first 40 base zeros, at both ends."""
     _check_query(m, nu_lo, nu_hi)
     nus = [nu_lo, nu_hi]
-    return _crossings(m, nus, _table(m, nus, 40, _pair(m, nu_lo, alpha).max_common, alpha), alpha)
+    return _crossings(m, nus, _table(m, nus, 40, alpha), alpha)
 
 
 def scan_nu_star(
@@ -263,7 +268,7 @@ def scan_nu_star(
     grid = [lo]
     while grid[-1] < nu_max:
         grid.append(min(grid[-1] + step, nu_max))
-    return _crossings(m, grid, _table(m, grid, k_max, _pair(m, lo, alpha).max_common, alpha), alpha)
+    return _crossings(m, grid, _table(m, grid, k_max, alpha), alpha)
 
 
 def trace_trajectories(
@@ -280,14 +285,14 @@ def trace_trajectories(
     nus = [lo]
     while nus[-1] + step <= hi + 1e-9 * step:
         nus.append(min(nus[-1] + step, hi))
-    n_roots = min(l_max, _pair(m, lo, alpha).max_common)
-    table = rho, base, refine, high = _table(m, nus, k_max, n_roots, alpha, shifted=True)
+    table = base, _, refine, roots, high = _table(m, nus, k_max, alpha, shifted=True)
     refine(range(len(nus)))  # a trace prints its curves
+    rho = np.array([roots(i) for i in range(len(nus))])
 
     tag = _family(alpha).value
     curves = [(f"{tag}[nu,{k+1}]", base[:, k, 0]) for k in range(k_max)]
     curves += [(f"{tag}[nu+{m},{k+1}]", high[:, k]) for k in range(k_max)]
-    curves += [(f"rho[{m-1},nu,{l+1}]", rho[:, l, 0]) for l in range(n_roots)]
+    curves += [(f"rho[{m-1},nu,{l+1}]", rho[:, l]) for l in range(min(l_max, rho.shape[1]))]
     trajectories = []
     for curve_id, column in curves:
         xs = column.tolist()

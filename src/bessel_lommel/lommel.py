@@ -37,10 +37,10 @@ class LommelCoefficients:
 
     Calling it evaluates the polynomial at x and `prime(x)` its derivative, both
     through `_scalar_kernel`, element by element for an array; x = 0 is a
-    DomainError.  `roots()` solves for the positive roots with `root_positions`
-    and `root_list()` adds their residuals.  Two rules hold there and nowhere
-    else: the order must be nu > 0 (ValueError), and fewer than m // 2 roots,
-    the count theory gives, is a ConvergenceError.
+    DomainError.  `roots()`, the one route by which roots reach an answer, solves
+    for the positive roots with `root_positions`; `root_list()` adds residuals.
+    Two rules hold there and nowhere else: the order must be nu > 0 (ValueError),
+    and fewer than m // 2 roots, the count theory gives, is a ConvergenceError.
     """
 
     m: int
@@ -59,25 +59,18 @@ class LommelCoefficients:
 
     def roots(self) -> np.ndarray:
         """The m // 2 positive roots, ascending."""
-        return self._checked(lambda: root_positions(self.m, self.nu, self.kind))
-
-    def _brackets(self) -> list:
-        """Stage one of `roots()` (`_bracket_roots`), under the same two rules."""
-        return self._checked(lambda: _bracket_roots(self.coeffs, self.m))
-
-    def _checked(self, solve):
         from .zeros import ConvergenceError
 
         if self.nu <= 0.0:
             raise ValueError(f"Lommel polynomial roots require nu > 0; nu={self.nu:.6g}")
-        found = solve()
-        if len(found) < self.m // 2:
+        roots = root_positions(self.m, self.nu, self.kind)
+        if len(roots) < self.m // 2:
             star = "*" if self.kind is PolyKind.ASSOCIATED else ""
             raise ConvergenceError(
-                f"found {len(found)} of the {self.m // 2} positive roots of "
+                f"found {len(roots)} of the {self.m // 2} positive roots of "
                 f"R{star}_{{{self.m},{self.nu:.6g}}}"
             )
-        return found
+        return roots
 
     def root_list(self):
         """`roots()` as a ZeroList; `tolerance` is the largest scaled residual
@@ -218,21 +211,19 @@ def _scalar_kernel(coeffs, m: int, derivative: bool = False):
 def root_positions(n: int, nu: float, kind: PolyKind = PolyKind.PLAIN) -> np.ndarray:
     """Positive roots of R_{n,nu} (plain) or R*_{n,nu} (associated), ascending.
 
-    Stage one (`_bracket_roots`) keeps the candidates from the companion matrix of
-    sum c_k u^k, u = (x/2)^2, whose sign change a small bracket confirms (`roots()`
-    checks the count); stage two (`_polish_roots`) refines each bracket by bisection
-    and a Newton polish on `_scalar_kernel` to a root within 1e-9 of the bracket.
+    Each root of the companion matrix of sum c_k u^k, u = (x/2)^2, is kept if a small
+    bracket around it confirms a sign change (`LommelCoefficients.roots` checks the
+    count), then refined by bisection and a Newton polish on `_scalar_kernel` that
+    accepts only points within 1e-9 of the bracket.  Each bisection step (at most 80)
+    is a deterministic map of (a, b, fa, fb); once the midpoint rounds to an end and
+    the step would leave the state as it is, every later step is a no-op too, so the
+    loop stops there.  The Newton polish of at most 4 steps stops in the same way at
+    a fixed point.
     """
     coeffs = _plain_coeffs(n, nu) if kind is PolyKind.PLAIN else _assoc_coeffs(n, nu)
-    return _polish_roots(coeffs, n, _bracket_roots(coeffs, n))
-
-
-def _bracket_roots(coeffs, n: int) -> list:
-    """Stage one of `root_positions`: (a, b, f(a), f(b)) with f(a) * f(b) <= 0 per root."""
-    if len(coeffs) < 2:
-        return []
     f = _scalar_kernel(coeffs, n)
-    brackets = []
+    fp = _scalar_kernel(coeffs, n, derivative=True)
+    roots = []
     for u in np.polynomial.Polynomial(coeffs).roots():
         if abs(u.imag) > 1e-8 * (1.0 + abs(u)) or u.real <= 0.0:
             continue
@@ -246,22 +237,8 @@ def _bracket_roots(coeffs, n: int) -> list:
             h *= 2.0
             a, b = max(x0 - h, 1e-12), x0 + h
             fa, fb = f(a), f(b)
-        if fa * fb <= 0.0:
-            brackets.append((a, b, fa, fb))
-    return brackets
-
-
-def _polish_roots(coeffs, n: int, brackets) -> np.ndarray:
-    """Stage two of `root_positions`: the root in each bracket, ascending.  It lies in
-    [a - 1e-9, b + 1e-9]: bisection keeps inside [a, b], and Newton accepts only points
-    in that band.  The bisection runs at most 80 steps, each a deterministic map of (a,
-    b, fa, fb); once the midpoint rounds to an end and the step would leave the state
-    as it is, every later step is a no-op too, so the loop stops there.  The Newton
-    polish of at most 4 steps stops in the same way at a fixed point."""
-    f = _scalar_kernel(coeffs, n)
-    fp = _scalar_kernel(coeffs, n, derivative=True)
-    roots = []
-    for a, b, fa, fb in brackets:
+        if not fa * fb <= 0.0:
+            continue
         for _ in range(80):
             mid = 0.5 * (a + b)
             if mid == b and (fa * fb <= 0.0 or a == b):

@@ -71,3 +71,11 @@ def gamma_ratio_lommel(m: int, nu, x) -> float:
 def stencil5_derivative(f, x, h) -> float:
     """Five-point central finite-difference first derivative."""
     return (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
+
+
+def shifted_sign_at_zero(nu, m: int, x0) -> int:
+    """The sign of J_{nu+m} at the zero of J_nu that `mp.findroot` reaches from x0,
+    which must lie within 1e-8 of x0 (so a start at the k-th zero stays there)."""
+    z = mp.findroot(lambda x: mp.besselj(nu, x), mp.mpf(x0))
+    assert abs(z - x0) < 1e-8, (nu, x0, z)
+    return int(mp.sign(mp.besselj(nu + m, z)))

@@ -91,6 +91,33 @@ def test_common_zero_usage_error(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--bracket", "5.619", "5.62", "--l", "2"),
+        ("--bracket", "5.619", "5.62", "--k", "6"),
+        ("--bracket", "5.619", "5.62", "--nu-max", "6"),
+        ("--bracket", "5.619", "5.62", "--k-max", "6"),
+        ("--scan", "--nu-max", "6", "--k-max", "6", "--bracket", "5.619", "5.62"),
+        ("--scan", "--nu-max", "6", "--k-max", "6", "--l", "2"),
+        ("--scan", "--nu-max", "6", "--k-max", "6", "--k", "6"),
+    ],
+    ids=["bracket-l", "bracket-k", "bracket-nu-max", "bracket-k-max", "scan-bracket", "scan-l", "scan-k"],
+)
+def test_common_zero_flag_the_query_would_ignore_exits_2(capsys, flags):
+    code, out, err = run_cli(capsys, "common-zero", "--m", "5", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ")
+
+
+def test_scan_with_no_common_zero_exits_0(capsys):
+    # the window at the order floor used to print three false solutions
+    code, out, _ = run_cli(capsys, "common-zero", "--m", "12", "--scan", "--nu-max", "0", "--k-max", "1")
+    assert code == 0
+    assert json.loads(out)["solutions"] == []
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["zeros", "--kind", "j", "--nu", "0", "--count", "1", "--bogus"])

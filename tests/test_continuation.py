@@ -1,8 +1,10 @@
 import importlib
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from oracles import shifted_sign_at_zero
 
 import bessel_lommel as bl
 from bessel_lommel.continuation import BracketError
@@ -100,17 +102,19 @@ def test_order_grid_rejects_grids_that_never_end(nu_from, nu_to, step, match):
         bl.trace_trajectories(5, (nu_from, nu_to), step, k_max=2, l_max=1)
 
 
-def test_root_deficit_raises_on_every_path():
+def test_root_deficit_raises_on_every_path(monkeypatch):
     # near nu = 50 the root solver finds fewer roots of R_{m-1,nu+1} than the
-    # (m-1)//2 that theory gives (22 of 26 at m = 53, 20 of 30 at m = 61); scan,
-    # bracket, trace and the distance all refuse instead of answering from a
-    # short root list
+    # (m-1)//2 that theory gives (22 of 26 at m = 53, 20 of 30 at m = 61); trace
+    # and the distance refuse instead of answering from a short root list.  Scan
+    # and bracket need roots only where J_{nu+m} changes sign at a base zero, and
+    # the mpmath signs confirm that it changes sign nowhere in these windows
     from bessel_lommel.continuation import _distance
 
-    with pytest.raises(ConvergenceError, match="20 of the 30"):
-        bl.scan_nu_star(61, 2, 50.3, nu_min=50.0)
-    with pytest.raises(ConvergenceError, match="22 of the 26"):
-        bl.find_in_bracket(53, 50.0, 50.05)
+    seen = _record_tables(monkeypatch)
+    assert bl.scan_nu_star(61, 2, 50.3, nu_min=50.0) == []
+    assert bl.find_in_bracket(53, 50.0, 50.05) == []
+    assert _oracle_crossings(61, 2, seen[0]) == set()
+    assert _oracle_crossings(53, 40, seen[1]) == set()
     with pytest.raises(ConvergenceError, match="22 of the 26"):
         bl.trace_trajectories(53, (50.0, 50.25), 0.125, k_max=2, l_max=26)
     with pytest.raises(ConvergenceError):
@@ -198,11 +202,11 @@ def test_table_refines_each_function_in_one_pass(monkeypatch):
         stage = getattr(zeros_mod, name)
         monkeypatch.setattr(zeros_mod, name, lambda *a, stage=stage, seen=seen: seen.append(1) or stage(*a))
     nus = [5.0 + 0.0625 * i for i in range(17)]
-    rho, base, refine, high = _table(5, nus, 3, 2, 0.0, shifted=True)
+    base, g, refine, roots, high = _table(5, nus, 3, 0.0, shifted=True)
     refine(range(17))
     for seen in calls.values():  # stage one and stage two, each in one pass per function
         assert len(seen) == 2
-    assert rho.shape == (17, 2, 2) and base.shape == (17, 3, 2) and high.shape == (17, 3)
+    assert g.shape == base.shape == (17, 3, 2) and high.shape == (17, 3)
 
 
 def test_solve_takes_bracket_ends_from_its_grid(monkeypatch):
@@ -284,3 +288,31 @@ def test_spurious_sign_change_is_refused_by_the_common_zero_test():
     # the distance changes sign with no crossing; Pair.common refuses the solved x*
     with pytest.raises(BracketError, match="gives no common zero"):
         bl.find_in_bracket(4, 0.05, 0.1, alpha=3.0)
+
+
+def _oracle_crossings(m, k_max, nus):
+    """(k, (nu_lo, nu_hi)) of each sign change, between neighbouring orders, of the
+    mpmath sign of J_{nu+m} at the k-th zero of J_nu, refined by `mp.findroot` from
+    the library's zero."""
+    table = bl.zero_table([bl.FunctionId(bl.Kind.BESSEL_J, nu) for nu in nus], k_max)
+    signs = [[shifted_sign_at_zero(nu, m, x) for x in row] for nu, row in zip(nus, table.tolist())]
+    return {(k + 1, (nus[i], nus[i + 1])) for i in range(len(nus) - 1) for k in range(k_max)
+            if signs[i][k] != signs[i + 1][k]}
+
+
+@pytest.mark.parametrize(
+    "m, k_max, nu_max, nu_min",
+    [(m, 3, 3.0, None) for m in (5, 9, 12, 16, 20)]
+    + [(17, 6, 5.0, 3.0), (20, 6, 5.0, 3.0), (18, 2, 14.0, 3.0)],
+)
+def test_scan_answers_match_the_mpmath_sign_oracle(monkeypatch, m, k_max, nu_max, nu_min):
+    # near the order floor, and for m >= 17 where the smallest root of R_{m-1,nu+1}
+    # lies within 1e-14 of j_{nu,1}, a root-versus-zero table reported crossings at
+    # x* < nu* + m, where J_{nu+m} has no zero (j_{mu,1} > mu), or refused to answer
+    seen = _record_tables(monkeypatch)
+    sols = bl.scan_nu_star(m, k_max, nu_max, nu_min=nu_min)
+    assert {(s.k, s.bracket) for s in sols} == _oracle_crossings(m, k_max, seen[0])
+    for s in sols:
+        assert s.x_star > s.nu_star + m
+        assert abs(mp.besselj(s.nu_star, s.x_star)) < 1e-10
+        assert abs(mp.besselj(s.nu_star + m, s.x_star)) < 1e-10

@@ -49,8 +49,8 @@ def _refined_rows(monkeypatch):
     table = C._table
 
     def recording(*args, **kwargs):
-        rho, base, refine, high = table(*args, **kwargs)
-        return rho, base, lambda rows: seen.extend(rows) or refine(rows), high
+        base, g, refine, roots, high = table(*args, **kwargs)
+        return base, g, lambda rows: seen.extend(rows) or refine(rows), roots, high
 
     monkeypatch.setattr(C, "_table", recording)
     return seen
@@ -60,8 +60,10 @@ def _cases():
     for alpha in (0.0, 0.7, 2.5):
         for m in range(3, 21):  # gaps 3..20: most of these windows hold a crossing
             yield lambda m=m, a=alpha: bl.scan_nu_star(m, 6, 5.0, nu_min=3.0, alpha=a)
-        for m in (3, 5, 12):  # windows at the order floor, false solutions included
+        for m in (3, 5, 12):  # windows at the order floor
             yield lambda m=m, a=alpha: bl.scan_nu_star(m, 3, 3.0, alpha=a)
+        for m in (5, 8):  # 3 or 4 crossings each, up to the tenth zero
+            yield lambda m=m, a=alpha: bl.scan_nu_star(m, 10, 10.0, nu_min=3.0, alpha=a)
         yield lambda a=alpha: bl.find_in_bracket(5, 5.619, 5.62, alpha=a)
         yield lambda a=alpha: bl.find_in_bracket(7, 4.0, 4.5, alpha=a)
     yield lambda: bl.find_in_bracket(12, -0.8, -0.7)
@@ -93,7 +95,7 @@ def test_staged_answers_match_full_refinement_bitwise(monkeypatch):
     assert staged == full
     assert staged_inputs == inputs  # the same table values reach every solve
     assert sum(isinstance(a, list) and len(a) for a in staged) > 40  # solutions were compared
-    assert staged[-1].startswith("ConvergenceError: found 20 of the 30 positive roots")
+    assert staged[-1] == []  # no sign change, so no root is solved (see the deficit test)
     assert staged[-2].startswith("BracketError")
 
 
@@ -118,51 +120,106 @@ def test_crossing_refines_the_orders_that_bound_it(monkeypatch):
     assert len(seen) < 17
 
 
-def test_exact_tie_refines_the_next_order(monkeypatch):
-    # row 0 is exact and ties (d = 0), so its sign change is solved with row 1's exact
-    # value although row 1's intervals decide d > 0; row 2 is never needed
-    rho = np.array([[[5.0, 5.0]], [[6.0, 6.2]], [[7.0, 7.2]]])
-    base = np.array([[[5.0, 5.0]], [[5.5, 5.6]], [[6.5, 6.6]]])
-    exact = {1: (6.05, 5.52), 2: (7.05, 6.52)}
-    refined, solved = [], []
+def _synthetic(base, g, exact, roots):
+    """A `_table` of exact and interval rows: `refine` records its rows and sets them to
+    `exact[i]` (a zero and its shifted sign), and `roots(i)` is `roots[i]`."""
+    base, g, refined = np.array(base), np.array(g), []
 
     def refine(rows):
         refined.extend(rows)
         for i in rows:
-            rho[i], base[i] = exact[i]
+            base[i], g[i] = exact[i]
 
+    return (base, g, refine, roots.__getitem__, None), refined
+
+
+def test_exact_tie_refines_the_next_order(monkeypatch):
+    # row 0 is exact and ties (g = 0), so its sign change is solved with row 1's exact
+    # values although row 1's end signs decide g > 0; row 2 is never needed
+    table, refined = _synthetic(
+        [[[5.0, 5.0]], [[5.5, 5.6]], [[6.5, 6.6]]], [[[0.0, 0.0]], [[1.0, 1.0]], [[1.0, 1.0]]],
+        {1: (5.52, 1.0), 2: (6.52, 1.0)}, [[5.0], [6.05], [7.05]],
+    )
+    solved = []
     monkeypatch.setattr(C, "_solve", lambda *a: solved.append(a) or SimpleNamespace(nu_star=a[3]))
-    C._crossings(4, [1.0, 1.125, 1.25], (rho, base, refine, None), 0.0)
+    C._crossings(4, [1.0, 1.125, 1.25], table, 0.0)
     assert refined == [1]
     assert solved == [(4, 1, 1, 1.0, 1.125, 0.0, 6.05 - 5.52, 0.0)]
+
+
+@pytest.mark.parametrize(
+    "roots, count",
+    [([[5.7, 9.0], [5.8, 9.0]], 0), ([[5.4, 5.6], [5.6, 5.4]], 2)],
+    ids=["no-root", "two-roots"],
+)
+def test_sign_change_without_one_crossing_root_is_refused(roots, count):
+    # g changes sign between two exact rows, but no root (or two) crosses the zero
+    table, _ = _synthetic(
+        [[[5.5, 5.5]], [[5.5, 5.5]]], [[[1.0, 1.0]], [[-1.0, -1.0]]], {}, roots
+    )
+    with pytest.raises(C.BracketError, match=f"where {count} roots cross it: it gives no common zero"):
+        C._crossings(4, [1.0, 1.125], table, 0.0)
+
+
+def _root_solves(monkeypatch):
+    """Record the order of every `lommel.root_positions` call."""
+    seen = []
+    solve = L.root_positions
+    monkeypatch.setattr(L, "root_positions", lambda n, nu, *a: seen.append(nu) or solve(n, nu, *a))
+    return seen
+
+
+def test_window_without_crossing_solves_no_roots(monkeypatch):
+    seen = _root_solves(monkeypatch)
+    assert bl.scan_nu_star(4, 3, 12.0, nu_min=8.0) == []
+    assert seen == []
+
+
+def test_crossing_solves_roots_at_its_two_orders_and_the_solve_steps(monkeypatch):
+    seen, steps = _root_solves(monkeypatch), []
+    distance = C._distance
+    monkeypatch.setattr(C, "_distance", lambda *a: steps.append(a[3]) or distance(*a))
+    (sol,) = bl.scan_nu_star(5, 6, 7.0, nu_min=5.0)
+    assert seen == [nu + 1.0 for nu in [*sol.bracket, *steps]]  # R_{m-1,nu+1}, once each
 
 
 @pytest.mark.parametrize("m, nu, alpha", [(5, 5.0, 0.0), (9, 2.0, 0.0), (7, 3.0, 1.3), (12, 0.5, 2.9)])
 def test_table_values_lie_in_their_stage_one_intervals(m, nu, alpha):
     nus = [nu + 0.125 * i for i in range(9)]
-    rho, base, refine, _ = C._table(m, nus, 5, C._pair(m, nu, alpha).max_common, alpha)
-    stage_one = rho.copy(), base.copy()
+    base, _, refine, _, _ = C._table(m, nus, 5, alpha)
+    interval = base.copy()
     refine(range(len(nus)))
-    for interval, table in zip(stage_one, (rho, base)):
-        assert (table[..., 0] == table[..., 1]).all()
-        assert ((interval[..., 0] <= table[..., 0]) & (table[..., 0] <= interval[..., 1])).all()
+    assert (base[..., 0] == base[..., 1]).all()
+    assert ((interval[..., 0] <= base[..., 0]) & (base[..., 0] <= interval[..., 1])).all()
+
+
+@pytest.mark.parametrize("m, nu, alpha", [(5, 5.0, 0.0), (9, 2.0, 0.0), (7, 3.0, 1.3), (12, 0.5, 2.9)])
+def test_decided_signs_are_the_signs_at_the_zeros(m, nu, alpha):
+    nus = [nu + 0.125 * i for i in range(9)]
+    _, g, refine, _, _ = C._table(m, nus, 5, alpha)
+    decided = (g[..., 0] == g[..., 1]) & (g[..., 0] != 0.0)
+    ends = g[..., 0].copy()
+    refine(range(len(nus)))
+    assert decided.mean() > 0.9
+    assert (g[..., 0] == g[..., 1]).all()
+    assert (g[..., 0][decided] == ends[decided]).all()
 
 
 def test_rows_never_refined_are_validated_on_interval_midpoints(monkeypatch):
     seen = []
     validate = Z._validate_run
     monkeypatch.setattr(Z, "_validate_run", lambda f, xs: seen.append(xs) or validate(f, xs))
-    rho, base, refine, _ = C._table(4, [8.0 + 0.125 * i for i in range(33)], 3, 1, 0.0)
+    base = C._table(4, [8.0 + 0.125 * i for i in range(33)], 3, 0.0)[0]
     assert seen[0].shape == (33, 3)
     assert (seen[0] == base.mean(axis=-1)).all() and (base[..., 0] < base[..., 1]).all()
 
 
 def test_root_deficit_is_found_before_any_zero_search(monkeypatch):
-    calls = []
-    monkeypatch.setattr(Z, "_scan", lambda *a: calls.append(1) or pytest.fail("zero search ran"))
-    with pytest.raises(Z.ConvergenceError, match="found 20 of the 30 positive roots"):
-        bl.scan_nu_star(61, 2, 50.3, nu_min=50.0)
-    assert calls == []
+    # R_{60,nu+1} has 20 of its 30 roots found near nu = 50, but g keeps its sign over
+    # this window, so the scan answers from the zeros alone and solves no root
+    seen = _root_solves(monkeypatch)
+    assert bl.scan_nu_star(61, 2, 50.3, nu_min=50.0) == []
+    assert seen == []
 
 
 def _zero_cases():
@@ -181,17 +238,3 @@ def test_zeros_lie_in_their_stage_one_intervals(fids, K):
     assert ((lo <= table) & (table <= hi)).all()
     assert (lo < hi).all()  # no row is exact before stage two
     assert [row.tobytes() for row in table] == [row.tobytes() for row in Z.zero_table(fids, K)]
-
-
-def test_roots_lie_in_their_brackets():
-    rng = random.Random(12)
-    for _ in range(60):
-        n, nu = rng.randint(1, 40), rng.uniform(0.01, 60.0)
-        kind = rng.choice(list(PolyKind))
-        coeffs = L._plain_coeffs(n, nu) if kind is PolyKind.PLAIN else L._assoc_coeffs(n, nu)
-        brackets = L._bracket_roots(coeffs, n)
-        roots = [L._polish_roots(coeffs, n, [br])[0] for br in brackets]
-        for (a, b, fa, fb), x in zip(brackets, roots):
-            assert fa * fb <= 0.0
-            assert a - 1e-9 <= x <= b + 1e-9, (n, nu, kind)
-        assert sorted(roots) == L.root_positions(n, nu, kind).tolist()
