@@ -20,14 +20,6 @@ from .interlace import Family
 from .special import DomainError, FunctionId, Kind
 from .zeros import ConvergenceError, zeros as _compute_zeros
 
-_KIND_BY_FLAG = {
-    "j": Kind.BESSEL_J,
-    "y": Kind.BESSEL_Y,
-    "c": Kind.CYLINDER,
-    "jp": Kind.BESSEL_J_PRIME,
-}
-
-
 @dataclass
 class RunConfig:
     zero_tol: float = 1e-12
@@ -132,7 +124,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_zeros(args, cfg: RunConfig) -> int:
-    kind = _KIND_BY_FLAG[args.kind]
+    kind = Kind(args.kind)
     if kind is Kind.CYLINDER:
         fid = FunctionId(kind, args.nu, alpha=args.alpha if args.alpha is not None else 0.0)
     else:
@@ -314,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("zeros", help="positive zeros of J, Y, C or J'")
-    p.add_argument("--kind", choices=tuple(_KIND_BY_FLAG), required=True)
+    p.add_argument("--kind", choices=tuple(kind.value for kind in Kind), required=True)
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--count", type=int, required=True)

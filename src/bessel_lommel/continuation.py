@@ -25,7 +25,7 @@ import numpy as np
 
 from . import special as _special
 from .interlace import Family, Pair
-from .special import DomainError, FunctionId
+from .special import DomainError
 from .zeros import _zero_stages, zero_table, zeros
 
 
@@ -190,12 +190,11 @@ def _table(m: int, nus, k_max: int, alpha: float, shifted: bool = False):
     pairs = [_pair(m, nu, alpha) for nu in nus]
     lo, hi, finish = _zero_stages([pair.base for pair in pairs], k_max)
     base = np.stack([lo, hi], axis=-1)
-    g, fid = np.empty_like(base), pairs[0].shifted
+    g, value = np.empty_like(base), _special.evaluators(pairs[0].shifted.kind, alpha)[0]
     orders = np.asarray(nus, dtype=float) + m  # bit for bit the pairs' shifted orders
 
     def sign(rows):
-        f = _special.value_fn(FunctionId(fid.kind, orders[rows, None, None], fid.alpha))
-        g[rows] = np.sign(f(base[rows]))
+        g[rows] = np.sign(value(orders[rows, None, None], base[rows]))
 
     def refine(rows):
         rows = list(rows)

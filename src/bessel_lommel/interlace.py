@@ -79,17 +79,13 @@ class Pair:
 
     @property
     def base(self) -> FunctionId:
-        if self.family is Family.CYLINDER:
-            return FunctionId(Kind.CYLINDER, self.nu, alpha=self.alpha)
-        if self.family is Family.DERIVATIVE:
-            return FunctionId(Kind.BESSEL_J_PRIME, self.nu)
-        return FunctionId(Kind.BESSEL_J, self.nu)
+        kind = Kind(self.family.value)
+        return FunctionId(kind, self.nu, self.alpha if kind is Kind.CYLINDER else None)
 
     @property
     def shifted(self) -> FunctionId:
-        if self.family is Family.CYLINDER:
-            return FunctionId(Kind.CYLINDER, self.nu + self.m, alpha=self.alpha)
-        return FunctionId(Kind.BESSEL_J, self.nu + self.m)
+        kind = Kind.BESSEL_J if self.family is Family.DERIVATIVE else Kind(self.family.value)
+        return FunctionId(kind, self.nu + self.m, self.alpha if kind is Kind.CYLINDER else None)
 
     @cached_property
     def poly(self) -> _lommel.LommelCoefficients:

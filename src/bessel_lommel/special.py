@@ -53,7 +53,7 @@ class FunctionId:
     alpha: float | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.order).all():  # an order column is an ndarray
+        if not np.isfinite(self.order).all():  # an array of orders is checked whole
             raise DomainError(f"the order must be finite; got {self.order}")
         if self.kind is Kind.CYLINDER:
             if self.alpha is None or not 0.0 <= self.alpha < math.pi:
@@ -248,23 +248,21 @@ def evaluate(fid: FunctionId, x: float) -> EvalResult:
     return bessel_j_prime(fid.order, x)
 
 
+def evaluators(kind: Kind, alpha: float | None = None):
+    """The vectorized pair (value(order, x), derivative(order, x)) of a kind; `alpha` is the
+    cylinder angle.  Every evaluation over a column of orders calls these."""
+    if kind is Kind.CYLINDER:
+        return (lambda nu, x: cyl(alpha, nu, x)), (lambda nu, x: cylp(alpha, nu, x))
+    return {Kind.BESSEL_J: (jv, jvp), Kind.BESSEL_Y: (yv, yvp), Kind.BESSEL_J_PRIME: (jvp, jvpp)}[kind]
+
+
 def value_fn(fid: FunctionId):
     """Vectorized plain-value callable for a FunctionId (no error metadata)."""
-    if fid.kind is Kind.BESSEL_J:
-        return lambda x: jv(fid.order, x)
-    if fid.kind is Kind.BESSEL_Y:
-        return lambda x: yv(fid.order, x)
-    if fid.kind is Kind.CYLINDER:
-        return lambda x: cyl(fid.alpha, fid.order, x)
-    return lambda x: jvp(fid.order, x)
+    value = evaluators(fid.kind, fid.alpha)[0]
+    return lambda x: value(fid.order, x)
 
 
 def derivative_fn(fid: FunctionId):
     """Vectorized x-derivative callable for a FunctionId."""
-    if fid.kind is Kind.BESSEL_J:
-        return lambda x: jvp(fid.order, x)
-    if fid.kind is Kind.BESSEL_Y:
-        return lambda x: yvp(fid.order, x)
-    if fid.kind is Kind.CYLINDER:
-        return lambda x: cylp(fid.alpha, fid.order, x)
-    return lambda x: jvpp(fid.order, x)
+    derivative = evaluators(fid.kind, fid.alpha)[1]
+    return lambda x: derivative(fid.order, x)

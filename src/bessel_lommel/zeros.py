@@ -111,13 +111,9 @@ def _margin(x):
     return _REPLAY_MARGIN * np.maximum(1.0, np.abs(x))
 
 
-def _evaluator(fn, col: FunctionId):
-    """fn(FunctionId) at the orders `col.order[rows]` as a function of (rows, x)."""
-    return lambda rows, x: np.asarray(fn(_rows(col, rows))(x), dtype=float)
-
-
-def _bracket_zeros(col: FunctionId, brackets):
-    """Stage one of refining bracket i to a zero of the order `col.order[i]`: the state
+def _bracket_zeros(value, orders, brackets):
+    """Stage one of refining bracket i to a zero of `value` (an `evaluators` function) at
+    the order `orders[i]`: the state
     (a, b, fa, fb, steps) from which stage two (`_finish_zeros`) bisects on at step
     `steps[i]`.  [a, b] holds the zero stage two returns: the later bisection only
     shrinks it, and the Newton polish is clipped to the final [a, b].
@@ -137,7 +133,7 @@ def _bracket_zeros(col: FunctionId, brackets):
     b = np.asarray([b[1] for b in brackets], dtype=float)
     n = a.size
     every = np.arange(n)
-    f = _evaluator(_special.value_fn, col)
+    f = lambda rows, x: value(orders[rows], x)
 
     ends = f(np.concatenate([every, every]), np.concatenate([a, b]))
     fa0, fb0 = ends[:n], ends[n:]
@@ -185,13 +181,13 @@ def _bracket_zeros(col: FunctionId, brackets):
     return a, b, fa, fb, steps
 
 
-def _finish_zeros(col: FunctionId, state, tolerance: float):
+def _finish_zeros(value, derivative, orders, state, tolerance: float):
     """Stage two, in place on the state: the rest of the 48 bisection steps by the rule
     fa * f(mid) <= 0 (a midpoint that rounds to an end takes the value f has there), a
     Newton polish of at most 3 steps (`_newton`) and the residual contract."""
     a, b, fa, fb, steps = state
     every = np.arange(a.size)
-    f, fp = _evaluator(_special.value_fn, col), _evaluator(_special.derivative_fn, col)
+    f, fp = (lambda rows, x: value(orders[rows], x)), (lambda rows, x: derivative(orders[rows], x))
     for k in range(int(steps.min()), 48):
         live = every[steps <= k]
         al, bl, fal, fbl = a[live], b[live], fa[live], fb[live]
@@ -216,11 +212,6 @@ def _finish_zeros(col: FunctionId, state, tolerance: float):
             f"residual {res[i]:.3g} exceeds contract in bracket ({a[i]:.9g}, {b[i]:.9g})"
         )
     return x, res
-
-
-def _rows(col: FunctionId, rows) -> FunctionId:
-    """The FunctionId of the orders `col.order[rows]`."""
-    return FunctionId(col.kind, col.order[rows], col.alpha)
 
 
 def _mcmahon_j(nu: float, ks: np.ndarray) -> np.ndarray:
@@ -354,8 +345,9 @@ def _zero_stages(fids, K: int):
         table = np.array([zeros(fid, K).zeros for fid in fids]).reshape(len(fids), K)
         return table, table, lambda rows: table[list(rows)]
     lo, hi, finish = _scan(fids, K)
+    value = _special.evaluators(fids[0].kind, fids[0].alpha)[0]
     orders = np.array([fid.order for fid in fids])[:, None]
-    _validate_run(_special.value_fn(FunctionId(fids[0].kind, orders, fids[0].alpha)), (lo + hi) / 2)
+    _validate_run(lambda x: value(orders, x), (lo + hi) / 2)
     return lo, hi, lambda rows: finish(rows, 1e-12)[0]  # the default tolerance of zeros()
 
 
@@ -367,9 +359,11 @@ def _scan(fids, K: int):
         x0 = _scan_start(fid)
         limit = x0 + (K + 20) * math.pi * 2.0 + 100.0
         brackets += _scan_brackets(_special.value_fn(fid), x0, K, math.pi / 2.0, limit)
-    col = FunctionId(fids[0].kind, np.repeat([fid.order for fid in fids], K), fids[0].alpha)
+    value, derivative = _special.evaluators(fids[0].kind, fids[0].alpha)
+    nus = np.array([fid.order for fid in fids])
+    orders = np.repeat(nus, K)
     n = max(1, _BATCH_BRACKETS // K)  # rows per pass
-    parts = [_bracket_zeros(_rows(col, slice(i, i + n * K)), brackets[i : i + n * K])
+    parts = [_bracket_zeros(value, orders[i : i + n * K], brackets[i : i + n * K])
              for i in range(0, len(brackets), n * K)]
     state = [np.concatenate(v) for v in zip(*parts)]
 
@@ -377,10 +371,11 @@ def _scan(fids, K: int):
         rows, parts = np.asarray(rows, dtype=int), []
         for i in range(0, rows.size, n):
             idx = (rows[i : i + n, None] * K + np.arange(K)).ravel()
-            parts.append(_finish_zeros(_rows(col, idx), [v[idx] for v in state], tolerance))
+            parts.append(
+                _finish_zeros(value, derivative, orders[idx], [v[idx] for v in state], tolerance)
+            )
         xs, res = (np.concatenate(v).reshape(-1, K) for v in zip(*parts))
-        for i, row in zip(rows, xs):
-            _validate_run(_special.value_fn(fids[i]), row)
+        _validate_run(lambda x: value(nus[rows, None], x), xs)
         return xs, res
 
     return state[0].reshape(-1, K), state[1].reshape(-1, K), finish

@@ -186,8 +186,8 @@ def test_zero_table_splits_long_grids_into_bounded_passes(monkeypatch):
     calls = {"_bracket_zeros": [], "_finish_zeros": []}
     monkeypatch.setattr(ZEROS, "_BATCH_BRACKETS", 10)
     for name, seen in calls.items():
-        stage = getattr(ZEROS, name)
-        counted = lambda col, *a, stage=stage, seen=seen: seen.append(col.order.size) or stage(col, *a)
+        stage, at = getattr(ZEROS, name), 1 if name == "_bracket_zeros" else 2  # at: the orders
+        counted = lambda *a, stage=stage, seen=seen, at=at: seen.append(a[at].size) or stage(*a)
         monkeypatch.setattr(ZEROS, name, counted)
     fids = [jfid(nu) for nu in (0.5, 1.0, 1.5, 2.0, 2.5)]
     table = bl.zero_table(fids, 5)
