@@ -16,14 +16,14 @@ from dataclasses import dataclass
 from . import continuation as _continuation
 from . import interlace as _interlace
 from . import lommel as _lommel
-from .interlace import Family
+from .interlace import COMMON_TOL, Family
 from .special import DomainError, FunctionId, Kind
-from .zeros import ConvergenceError, zeros as _compute_zeros
+from .zeros import ZERO_TOL, ConvergenceError, zeros as _compute_zeros
 
 @dataclass
 class RunConfig:
-    zero_tol: float = 1e-12
-    common_tol: float = 1e-8
+    zero_tol: float = ZERO_TOL
+    common_tol: float = COMMON_TOL
     series_n: int = 5000
     fmt: str = "json"
     out: str | None = None
@@ -125,12 +125,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_zeros(args, cfg: RunConfig) -> int:
     kind = Kind(args.kind)
-    if kind is Kind.CYLINDER:
-        fid = FunctionId(kind, args.nu, alpha=args.alpha if args.alpha is not None else 0.0)
-    else:
-        if args.alpha is not None:
-            raise UsageError("--alpha is only valid with --kind c")
-        fid = FunctionId(kind, args.nu)
+    if args.alpha is not None and kind is not Kind.CYLINDER:
+        raise UsageError("--alpha is only valid with --kind c")
+    alpha = (0.0 if args.alpha is None else args.alpha) if kind is Kind.CYLINDER else None
+    fid = FunctionId(kind, args.nu, alpha)
     zl = _compute_zeros(fid, args.count, tolerance=cfg.zero_tol)
     payload = {
         "kind": args.kind,

@@ -43,6 +43,7 @@ class Family(enum.Enum):
 
 # --- the family triple ----------------------------------------------------------
 
+COMMON_TOL = 1e-8  # default tolerance of the common-zero test `Pair.common`
 # per family: (lower bound on nu, excluded; least m)
 _DOMAIN = {Family.BESSEL_J: (-1.0, 1), Family.CYLINDER: (0.0, 1), Family.DERIVATIVE: (0.0, 0)}
 
@@ -99,7 +100,7 @@ class Pair:
         """Bound on the number of common zeros: half the polynomial's degree, rounded down."""
         return self.poly.m // 2
 
-    def common(self, xs, tol: float = 1e-8) -> np.ndarray:
+    def common(self, xs, tol: float = COMMON_TOL) -> np.ndarray:
         """The one common-zero test: which base zeros `xs` give both the polynomial and
         the shifted function a scaled residual |g(x)| / max(1, |g'(x)|) below `tol`.
         More than `max_common` hits is a RuntimeError."""
@@ -208,7 +209,7 @@ def detect_common_zeros(
     m: int,
     nu: float,
     K: int,
-    tol: float = 1e-8,
+    tol: float = COMMON_TOL,
     alpha: float = 0.0,
 ) -> CommonZeroSet:
     """Base-function zeros at which the higher-order function also vanishes,
@@ -296,7 +297,7 @@ def verify_generalized_interlacing(
     m: int,
     nu: float,
     K: int,
-    tol: float = 1e-8,
+    tol: float = COMMON_TOL,
     alpha: float = 0.0,
 ) -> InterlaceReport:
     """Alternation of the base zeros (common zeros removed) with the merged set.
@@ -316,7 +317,7 @@ def verify_generalized_interlacing(
 
 
 def no_consecutive_common_zeros(
-    m: int, nu: float, K: int, tol: float = 1e-8, family: Family = Family.BESSEL_J, alpha: float = 0.0
+    m: int, nu: float, K: int, tol: float = COMMON_TOL, family: Family = Family.BESSEL_J, alpha: float = 0.0
 ) -> bool:
     """No two adjacent base zeros are both common zeros."""
     pair = Pair(family, m, nu, alpha)

@@ -1,16 +1,17 @@
 """Positive zeros of the Bessel family and the order-derivative dj/dnu.
 
-Zeros are located by a vectorized scan-and-bisect: march from a safe starting
-abscissa in half-pi steps until enough sign changes are bracketed, then refine
-every bracket by 48 bisection steps and a Newton polish with the analytic
-derivative, in two stages.  Stage one replays by arithmetic the bisection steps
-whose direction a secant estimate of the root makes certain, and certifies them
-by signs; its interval provably holds the final zero.  Stage two evaluates only
-where the outcome is not known yet, and the zeros are bit for bit those of
-evaluating every step.  `zero_table` scans each order of a grid on its own and
-refines all the brackets together, with the bits of a one-order call; a caller
-may stop a row after stage one (`_zero_stages`).  Large-index runs of J_nu zeros
-switch to asymptotic initial guesses, verified by sign changes and residuals.
+Zeros are located by a vectorized scan-and-bisect: march from a starting abscissa
+in half-pi steps until enough sign changes are bracketed (halving x below it
+brackets a first zero that lies there), then refine every bracket by 48 bisection
+steps and a Newton polish with the analytic derivative, in two stages.  Stage one
+replays by arithmetic the bisection steps whose direction a secant estimate of the
+root makes certain, and certifies them by signs; its interval provably holds the
+final zero.  Stage two evaluates only where the outcome is not known yet, and the
+zeros are bit for bit those of evaluating every step.  `zero_table` scans each
+order of a grid on its own and refines all the brackets together, with the bits of
+a one-order call; a caller may stop a row after stage one (`_zero_stages`).
+Large-index runs of J_nu zeros switch to asymptotic initial guesses, verified by
+sign changes and residuals.
 
 dj/dnu is computed by three independent routes (finite differences of the
 zero, the squared-Lommel-polynomial series, and the K_0 integral) and the
@@ -274,7 +275,10 @@ def _validate_run(f, xs: np.ndarray) -> None:
 
 
 _BULK_SWITCH = 80
+ZERO_TOL = 1e-12  # default residual tolerance of a zero: |f| <= tol * max(1, |f'|)
 _BATCH_BRACKETS = 4096  # bounds the temporaries of one refinement pass on long grids
+# least order from which f > 0 just above x = 0: J_nu (nu > -1), J'_nu (nu > 0), C_nu (nu >= 0)
+_POSITIVE_NEAR_0 = {Kind.BESSEL_J: -1.0, Kind.BESSEL_J_PRIME: math.ulp(0.0), Kind.CYLINDER: 0.0}
 
 
 def _check_domain(fid: FunctionId, K: int) -> None:
@@ -286,7 +290,7 @@ def _check_domain(fid: FunctionId, K: int) -> None:
         raise DomainError("zeros of J'_nu require nu >= 0")
 
 
-def zeros(fid: FunctionId, K: int, tolerance: float = 1e-12) -> ZeroList:
+def zeros(fid: FunctionId, K: int, tolerance: float = ZERO_TOL) -> ZeroList:
     """First K positive zeros of the function identified by `fid`."""
     _check_domain(fid, K)
     if K == 0:
@@ -348,7 +352,7 @@ def _zero_stages(fids, K: int):
     value = _special.evaluators(fids[0].kind, fids[0].alpha)[0]
     orders = np.array([fid.order for fid in fids])[:, None]
     _validate_run(lambda x: value(orders, x), (lo + hi) / 2)
-    return lo, hi, lambda rows: finish(rows, 1e-12)[0]  # the default tolerance of zeros()
+    return lo, hi, lambda rows: finish(rows, ZERO_TOL)[0]
 
 
 def _scan(fids, K: int):
@@ -356,9 +360,14 @@ def _scan(fids, K: int):
     `finish(rows, tolerance)` is stage two; a pass holds at most `_BATCH_BRACKETS` brackets."""
     brackets = []
     for fid in fids:
-        x0 = _scan_start(fid)
-        limit = x0 + (K + 20) * math.pi * 2.0 + 100.0
-        brackets += _scan_brackets(_special.value_fn(fid), x0, K, math.pi / 2.0, limit)
+        f, x = _special.value_fn(fid), _scan_start(fid)
+        x0, limit = x, x + (K + 20) * math.pi * 2.0 + 100.0
+        while fid.order >= _POSITIVE_NEAR_0.get(fid.kind, math.inf) and f(x) < 0.0:
+            if x < 1e-300:
+                raise ConvergenceError(f"{fid.label()} is negative down to x = {x:.3g}")
+            x *= 0.5  # the first zero lies below x0: f is negative at 2x and positive at x
+        first = [(x, 2.0 * x)] if x < x0 else []
+        brackets += first + _scan_brackets(f, x0, K - len(first), math.pi / 2.0, limit)
     value, derivative = _special.evaluators(fids[0].kind, fids[0].alpha)
     nus = np.array([fid.order for fid in fids])
     orders = np.repeat(nus, K)
@@ -371,9 +380,7 @@ def _scan(fids, K: int):
         rows, parts = np.asarray(rows, dtype=int), []
         for i in range(0, rows.size, n):
             idx = (rows[i : i + n, None] * K + np.arange(K)).ravel()
-            parts.append(
-                _finish_zeros(value, derivative, orders[idx], [v[idx] for v in state], tolerance)
-            )
+            parts.append(_finish_zeros(value, derivative, orders[idx], [v[idx] for v in state], tolerance))
         xs, res = (np.concatenate(v).reshape(-1, K) for v in zip(*parts))
         _validate_run(lambda x: value(nus[rows, None], x), xs)
         return xs, res

@@ -426,3 +426,13 @@ def test_high_order_cylinder_zeros_exit_0(capsys):
     code, out, _ = run_cli(capsys, "zeros", "--kind", "c", "--nu", "70", "--alpha", "1", "--count", "3", "--format", "csv")
     assert code == 0
     assert len(out.strip().splitlines()) == 4
+
+
+def test_bracket_finds_a_crossing_past_the_40th_zero_exits_0(capsys):
+    # the crossing at k = 51 lies past the 40 base zeros a bracket once looked at
+    argv = ("common-zero", "--m", "20", "--bracket", "19.58039032270774", "19.58059032270774")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    (sol,) = json.loads(out)["solutions"]
+    assert (sol["k"], sol["l"]) == (51, 9)
+    assert sol["nu_star"] == pytest.approx(19.58049032270774, abs=1e-9)

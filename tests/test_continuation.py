@@ -7,6 +7,7 @@ import pytest
 from oracles import shifted_sign_at_zero
 
 import bessel_lommel as bl
+import bessel_lommel.continuation as C
 from bessel_lommel.continuation import BracketError
 from bessel_lommel.special import DomainError, jv
 from bessel_lommel.zeros import ConvergenceError
@@ -106,15 +107,18 @@ def test_root_deficit_raises_on_every_path(monkeypatch):
     # near nu = 50 the root solver finds fewer roots of R_{m-1,nu+1} than the
     # (m-1)//2 that theory gives (22 of 26 at m = 53, 20 of 30 at m = 61); trace
     # and the distance refuse instead of answering from a short root list.  Scan
-    # and bracket need roots only where J_{nu+m} changes sign at a base zero, and
-    # the mpmath signs confirm that it changes sign nowhere in these windows
+    # and bracket need roots only where J_{nu+m} changes sign at a base zero: the
+    # mpmath signs confirm that it changes sign nowhere in the scan's window, and
+    # that the bracket holds a sign change at the 250th zero, so it refuses
     from bessel_lommel.continuation import _distance
 
     seen = _record_tables(monkeypatch)
     assert bl.scan_nu_star(61, 2, 50.3, nu_min=50.0) == []
-    assert bl.find_in_bracket(53, 50.0, 50.05) == []
+    with pytest.raises(ConvergenceError, match="22 of the 26"):
+        bl.find_in_bracket(53, 50.0, 50.05)
     assert _oracle_crossings(61, 2, seen[0]) == set()
-    assert _oracle_crossings(53, 40, seen[1]) == set()
+    z = [bl.zeros(bl.FunctionId(bl.Kind.BESSEL_J, nu), 250).zeros[-1] for nu in (50.0, 50.05)]
+    assert [shifted_sign_at_zero(nu, 53, x) for nu, x in zip((50.0, 50.05), z)] == [1, -1]
     with pytest.raises(ConvergenceError, match="22 of the 26"):
         bl.trace_trajectories(53, (50.0, 50.25), 0.125, k_max=2, l_max=26)
     with pytest.raises(ConvergenceError):
@@ -283,11 +287,58 @@ def test_bracket_rule_is_shared(nu_lo, nu_hi):
         bl.solve_nu_star(5, 2, 6, nu_lo, nu_hi)
 
 
-def test_spurious_sign_change_is_refused_by_the_common_zero_test():
-    # the first cylinder zero crosses the scan start x = 1e-3 inside this bracket, so
-    # the distance changes sign with no crossing; Pair.common refuses the solved x*
+def test_spurious_sign_change_is_refused_by_the_common_zero_test(monkeypatch):
+    # the first cylinder zero crosses x = 1e-3 inside this bracket; the scan once started
+    # there and saw a sign change with no crossing, and now finds that zero below its start
+    assert bl.find_in_bracket(4, 0.05, 0.1, alpha=3.0) == []
+    # a solved x* that Pair.common does not take for a common zero is refused
+    monkeypatch.setattr(bl.interlace.Pair, "common", lambda self, xs, tol=1e-8: np.zeros(len(xs), bool))
     with pytest.raises(BracketError, match="gives no common zero"):
-        bl.find_in_bracket(4, 0.05, 0.1, alpha=3.0)
+        bl.find_in_bracket(5, 5.619, 5.62)
+
+
+def _largest_roots(m, nus):
+    """The largest root of R_{m-1,nu+1} at each order nu: the reciprocal of the least
+    positive eigenvalue of its Jacobi matrix, symmetric tridiagonal with zero diagonal
+    and off-diagonal 1/(2 sqrt((nu+1+k)(nu+2+k))), k = 0..m-3 (Dickinson 1954)."""
+    n, nu = m - 1, np.asarray(nus, dtype=float)[:, None] + 1.0
+    i = np.arange(n - 1)
+    t = np.zeros((nu.size, n, n))
+    t[:, i, i + 1] = t[:, i + 1, i] = 0.5 / np.sqrt((nu + i) * (nu + i + 1.0))
+    return 1.0 / np.linalg.eigvalsh(t)[:, n - n // 2]
+
+
+def test_largest_lommel_root_grows_with_the_order():
+    # a bracket bounds the roots at its upper order and counts base zeros at its lower
+    # one, which holds because the largest root, like every base zero, grows with nu
+    assert _largest_roots(5, [2.5]) == pytest.approx(bl.lommel_coefficients(4, 3.5).roots()[-1])
+    nus = np.geomspace(0.01, 80.0, 100)
+    for m in range(3, 80):
+        assert (np.diff(_largest_roots(m, nus)) > 0.0).all(), m
+
+
+@pytest.mark.parametrize(
+    "m, nu, l, k", [(20, 19.58049032270774, 9, 51), (12, 48.73190672137643, 5, 45),
+                    (16, 30.857494396957026, 7, 49)],
+)
+def test_bracket_looks_at_every_base_zero_below_the_root_bound(monkeypatch, m, nu, l, k):
+    # these crossings lie past the 40 base zeros that a bracket once looked at
+    seen = []
+    table = C._table
+    monkeypatch.setattr(C, "_table", lambda m, nus, k_max, *a: seen.append(k_max) or table(m, nus, k_max, *a))
+    lo, hi = nu - 1e-4, nu + 1e-4
+    (sol,) = bl.find_in_bracket(m, lo, hi)
+    assert (sol.l, sol.k) == (l, k) and sol.nu_star == pytest.approx(nu, abs=1e-9)
+    z = [bl.zeros(bl.FunctionId(bl.Kind.BESSEL_J, v), k).zeros[-1] for v in (lo, hi)]
+    assert shifted_sign_at_zero(lo, m, z[0]) == -shifted_sign_at_zero(hi, m, z[1])
+    # the last base zero tabulated at lo lies past every root at hi
+    assert bl.zeros(bl.FunctionId(bl.Kind.BESSEL_J, lo), seen[0]).zeros[-1] > _largest_roots(m, [hi])[0]
+
+
+def test_bracket_without_a_finite_root_bound_is_refused():
+    # the coefficients of R_{199,1001} overflow
+    with pytest.raises(ConvergenceError, match="no finite bound"):
+        bl.find_in_bracket(200, 1000.0, 1000.1)
 
 
 def _oracle_crossings(m, k_max, nus):

@@ -67,7 +67,7 @@ def _cases():
         yield lambda a=alpha: bl.find_in_bracket(5, 5.619, 5.62, alpha=a)
         yield lambda a=alpha: bl.find_in_bracket(7, 4.0, 4.5, alpha=a)
     yield lambda: bl.find_in_bracket(12, -0.8, -0.7)
-    yield lambda: bl.find_in_bracket(4, 0.05, 0.1, alpha=3.0)  # refused by Pair.common
+    yield lambda: bl.find_in_bracket(4, 0.05, 0.1, alpha=3.0)  # no crossing: answers []
     yield lambda: bl.scan_nu_star(61, 2, 50.3, nu_min=50.0)  # too few roots at an order
 
 
@@ -96,7 +96,7 @@ def test_staged_answers_match_full_refinement_bitwise(monkeypatch):
     assert staged_inputs == inputs  # the same table values reach every solve
     assert sum(isinstance(a, list) and len(a) for a in staged) > 40  # solutions were compared
     assert staged[-1] == []  # no sign change, so no root is solved (see the deficit test)
-    assert staged[-2].startswith("BracketError")
+    assert staged[-2] == []
 
 
 def test_undecided_signs_refine_every_row(monkeypatch):

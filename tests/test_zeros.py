@@ -237,3 +237,32 @@ def test_cylinder_scan_starts_at_1e3_where_finite():
     assert ZEROS._scan_start(bl.FunctionId(bl.Kind.CYLINDER, 50.0, alpha=1.0)) == 1e-3
     start = ZEROS._scan_start(bl.FunctionId(bl.Kind.CYLINDER, 70.0, alpha=1.0))
     assert 1e-3 < start <= 70.0
+
+
+
+@pytest.mark.parametrize(
+    "fid, first, rel",
+    [
+        (jfid(-0.9999999), 6.3246e-4, 1e-14),
+        # J'_nu is (J_{nu-1} - J_{nu+1}) / 2, and nu - 1 = -1 + 1e-8 rounds by 5.5e-17, which
+        # moves this zero, about sqrt(2 nu), by 2.5e-9 relative
+        (bl.FunctionId(bl.Kind.BESSEL_J_PRIME, 1e-8), 1.4142e-4, 5e-9),
+        (bl.FunctionId(bl.Kind.CYLINDER, 0.05, alpha=3.1), 1.9322e-7, 1e-14),
+    ],
+)
+def test_first_zero_below_the_scan_start_matches_mpmath(fid, first, rel):
+    # the scan starts at x = 1e-3; a first zero below it was skipped, and every index shifted
+    import mpmath as mp
+
+    nu, alpha = fid.order, fid.alpha or 0.0
+    f = {
+        bl.Kind.BESSEL_J: lambda x: mp.besselj(nu, x),
+        bl.Kind.BESSEL_J_PRIME: lambda x: mp.besselj(nu, x, derivative=1),
+        bl.Kind.CYLINDER: lambda x: mp.cos(alpha) * mp.besselj(nu, x) - mp.sin(alpha) * mp.bessely(nu, x),
+    }[fid.kind]
+    zs = bl.zeros(fid, 3).zeros
+    assert zs[0] == pytest.approx(first, rel=1e-4)
+    with mp.workdps(30):
+        assert mp.sign(f(mp.mpf(zs[0]) / 2)) == 1  # f keeps its sign below the first zero
+        for k, z in enumerate(zs):
+            assert abs(mp.findroot(f, mp.mpf(z)) - z) <= (rel if k == 0 else 1e-14) * z
