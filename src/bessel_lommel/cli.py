@@ -20,6 +20,7 @@ from .interlace import COMMON_TOL, Family
 from .special import DomainError, FunctionId, Kind
 from .zeros import ZERO_TOL, ConvergenceError, zeros as _compute_zeros
 
+
 @dataclass
 class RunConfig:
     zero_tol: float = ZERO_TOL

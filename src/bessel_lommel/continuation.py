@@ -244,20 +244,21 @@ def find_in_bracket(m: int, nu_lo: float, nu_hi: float, alpha: float = 0.0) -> l
     """All (l, k) crossings inside a bracket, without presuming the pair: the sign of the
     shifted function at both ends, at every base zero that a common zero can reach.  A
     common zero is a root of R_{m-1,nu+1}, and both the roots and the base zeros grow with
-    nu, so these are the base zeros at nu_lo below a bound on the roots at nu_hi: Fujiwara's
-    bound on the polynomial sum c_k u^k in u = (x/2)^2 of the exact coefficients."""
+    nu, so these are the base zeros at nu_lo below a bound on the roots at nu_hi."""
     _check_query(m, nu_lo, nu_hi)
-    c = np.abs(_pair(m, nu_hi, alpha).poly.coeffs)
-    d = np.arange(c.size - 1, 0, -1)  # the degree of c_k's quotient by the leading term
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = 2.0 * ((c[:-1] / c[-1]) * np.where(d == c.size - 1, 0.5, 1.0)) ** (1.0 / d)
-        bound = 2.0 * math.sqrt(u.max())
+    # the d roots of sum c_k u^k, u = (x/2)^2, are real, so none exceeds mean + sqrt(d - 1)
+    # sd (Laguerre-Samuelson); their mean and variance follow from the top three c_k
+    c = _pair(m, nu_hi, alpha).poly.coeffs
+    d = len(c) - 1
+    mean = -c[-2] / c[-1] / d
+    var = max((d - 1) * mean * mean - 2.0 * (c[-3] / c[-1] if d > 1 else 0.0) / d, 0.0)  # nan stays
+    bound = 2.0 * math.sqrt(mean + math.sqrt((d - 1) * var))
     if not math.isfinite(bound):
         raise ConvergenceError(f"no finite bound on the roots of R_{{{m - 1},{nu_hi + 1.0:.6g}}}")
-    # j_{nu,k} > (k - 1) pi for nu > -1 and c_{nu,k} > j_{nu,k-1}, so fewer than
-    # bound / pi + 2 base zeros lie below the bound
+    # j_{nu,k} > nu + (k - 1) pi for nu > -1 and c_{nu,k} > j_{nu,k-1}, so fewer than
+    # (bound - nu) / pi + 2 base zeros lie below the bound
     nus = [nu_lo, nu_hi]
-    return _crossings(m, nus, _table(m, nus, int(bound / math.pi) + 3, alpha), alpha)
+    return _crossings(m, nus, _table(m, nus, int((bound - nu_lo) / math.pi) + 3, alpha), alpha)
 
 
 def scan_nu_star(

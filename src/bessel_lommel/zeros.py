@@ -113,8 +113,7 @@ def _margin(x):
 
 
 def _bracket_zeros(value, orders, brackets):
-    """Stage one of refining bracket i to a zero of `value` (an `evaluators` function) at
-    the order `orders[i]`: the state
+    """Stage one of refining bracket i to a zero of `value` at the order `orders[i]`: the state
     (a, b, fa, fb, steps) from which stage two (`_finish_zeros`) bisects on at step
     `steps[i]`.  [a, b] holds the zero stage two returns: the later bisection only
     shrinks it, and the Newton polish is clipped to the final [a, b].

@@ -336,9 +336,9 @@ def test_bracket_looks_at_every_base_zero_below_the_root_bound(monkeypatch, m, n
 
 
 def test_bracket_without_a_finite_root_bound_is_refused():
-    # the coefficients of R_{199,1001} overflow
+    # the constant coefficient of R_{3,nu+1}, nu (nu+1) (nu+2), overflows
     with pytest.raises(ConvergenceError, match="no finite bound"):
-        bl.find_in_bracket(200, 1000.0, 1000.1)
+        bl.find_in_bracket(4, 1e103, 2e103)
 
 
 def _oracle_crossings(m, k_max, nus):
