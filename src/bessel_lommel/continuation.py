@@ -10,8 +10,8 @@ change of g, or where a sign is undecided, get exact zeros, and only the two ord
 of a sign change get Lommel roots: the one root whose d changes sign names the
 crossing, which is solved from those two values of d.  Only `Pair.common` accepts
 the solution; a trace solves every order and keeps the continuity guard on the
-curves it prints.  Cylinder functions take C_nu and c_{nu,k} in place of J_nu and
-j_{nu,k}.  The crossing orders are irrational (no rational order can produce a
+zero curves it prints.  Cylinder functions take C_nu and c_{nu,k} in place of J_nu
+and j_{nu,k}.  The crossing orders are irrational (no rational order can produce a
 common zero), which is reported as an annotation rather than asserted numerically.
 """
 
@@ -26,7 +26,7 @@ import numpy as np
 from . import special as _special
 from .interlace import Family, Pair
 from .special import DomainError
-from .zeros import ConvergenceError, _zero_stages, zero_table, zeros
+from .zeros import _zero_stages, zero_table, zeros
 
 
 class BracketError(ValueError):
@@ -42,6 +42,8 @@ _SLOPE_BOUND = 5.0
 _SCAN_FLOOR = {Family.BESSEL_J: -1.0 + 1.0 / 16.0, Family.CYLINDER: 1e-3}
 # most orders an order grid may hold; each order costs a zero search
 _MAX_ORDERS = 10_000
+# most zeros a query may tabulate, over all its orders
+_MAX_ZEROS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -185,8 +187,14 @@ def _table(m: int, nus, k_max: int, alpha: float, shifted: bool = False):
     high).  base[i, k] is an interval [lo, hi] on a last axis around base zero k + 1 at
     nus[i], and g[i, k] the signs of the shifted function at its two ends.  `refine(rows)`
     runs stage two there, so lo == hi is exact and g is the sign at the zero.  `roots(i)`
-    solves the Lommel roots at nus[i] on first use, through `roots()` and its count
-    check.  With `shifted`, `high` holds the first `k_max` shifted zeros."""
+    solves the Lommel roots at nus[i] on first use, through `roots()`.  With `shifted`,
+    `high` holds the first `k_max` shifted zeros.  More than `_MAX_ZEROS` zeros in all
+    is a DomainError."""
+    if len(nus) * k_max > _MAX_ZEROS:
+        raise DomainError(
+            f"the query would tabulate {k_max:.3g} zeros at each of {len(nus)} orders; "
+            f"at most {_MAX_ZEROS} in all"
+        )
     pairs = [_pair(m, nu, alpha) for nu in nus]
     lo, hi, finish = _zero_stages([pair.base for pair in pairs], k_max)
     base = np.stack([lo, hi], axis=-1)
@@ -244,17 +252,9 @@ def find_in_bracket(m: int, nu_lo: float, nu_hi: float, alpha: float = 0.0) -> l
     """All (l, k) crossings inside a bracket, without presuming the pair: the sign of the
     shifted function at both ends, at every base zero that a common zero can reach.  A
     common zero is a root of R_{m-1,nu+1}, and both the roots and the base zeros grow with
-    nu, so these are the base zeros at nu_lo below a bound on the roots at nu_hi."""
+    nu, so these are the base zeros at nu_lo below the largest root at nu_hi."""
     _check_query(m, nu_lo, nu_hi)
-    # the d roots of sum c_k u^k, u = (x/2)^2, are real, so none exceeds mean + sqrt(d - 1)
-    # sd (Laguerre-Samuelson); their mean and variance follow from the top three c_k
-    c = _pair(m, nu_hi, alpha).poly.coeffs
-    d = len(c) - 1
-    mean = -c[-2] / c[-1] / d
-    var = max((d - 1) * mean * mean - 2.0 * (c[-3] / c[-1] if d > 1 else 0.0) / d, 0.0)  # nan stays
-    bound = 2.0 * math.sqrt(mean + math.sqrt((d - 1) * var))
-    if not math.isfinite(bound):
-        raise ConvergenceError(f"no finite bound on the roots of R_{{{m - 1},{nu_hi + 1.0:.6g}}}")
+    bound = _pair(m, nu_hi, alpha).poly.roots()[-1]
     # j_{nu,k} > nu + (k - 1) pi for nu > -1 and c_{nu,k} > j_{nu,k-1}, so fewer than
     # (bound - nu) / pi + 2 base zeros lie below the bound
     nus = [nu_lo, nu_hi]
@@ -304,12 +304,10 @@ def trace_trajectories(
     tag = _family(alpha).value
     curves = [(f"{tag}[nu,{k+1}]", base[:, k, 0]) for k in range(k_max)]
     curves += [(f"{tag}[nu+{m},{k+1}]", high[:, k]) for k in range(k_max)]
+    for _, column in curves:
+        _guard_continuity(column.tolist(), step)
     curves += [(f"rho[{m-1},nu,{l+1}]", rho[:, l]) for l in range(min(l_max, rho.shape[1]))]
-    trajectories = []
-    for curve_id, column in curves:
-        xs = column.tolist()
-        _guard_continuity(xs, step)
-        trajectories.append(Trajectory(m, curve_id, tuple(zip(nus, xs))))
+    trajectories = [Trajectory(m, cid, tuple(zip(nus, col.tolist()))) for cid, col in curves]
     return TraceResult(tuple(trajectories), tuple(_crossings(m, nus, table, alpha)))
 
 

@@ -37,10 +37,11 @@ class LommelCoefficients:
 
     Calling it evaluates the polynomial at x and `prime(x)` its derivative, both
     through `_scalar_kernel`, element by element for an array; x = 0 is a
-    DomainError.  `roots()`, the one route by which roots reach an answer, solves
-    for the positive roots with `root_positions`; `root_list()` adds residuals.
+    DomainError.  `roots()`, the one route by which roots reach an answer, takes
+    the m // 2 positive roots from `root_positions`; `root_list()` adds residuals.
     Two rules hold there and nowhere else: the order must be nu > 0 (ValueError),
-    and fewer than m // 2 roots, the count theory gives, is a ConvergenceError.
+    and a root that is not finite and positive (the Jacobi matrix underflows at
+    enormous nu) is a ConvergenceError, as is a residual that is not finite.
     """
 
     m: int
@@ -57,6 +58,9 @@ class LommelCoefficients:
     def prime(self, x):
         return _evaluate(_scalar_kernel(self.coeffs, self.m, derivative=True), x)
 
+    def _name(self) -> str:
+        return f"R{'*' if self.kind is PolyKind.ASSOCIATED else ''}_{{{self.m},{self.nu:.6g}}}"
+
     def roots(self) -> np.ndarray:
         """The m // 2 positive roots, ascending."""
         from .zeros import ConvergenceError
@@ -64,26 +68,24 @@ class LommelCoefficients:
         if self.nu <= 0.0:
             raise ValueError(f"Lommel polynomial roots require nu > 0; nu={self.nu:.6g}")
         roots = root_positions(self.m, self.nu, self.kind)
-        if len(roots) < self.m // 2:
-            star = "*" if self.kind is PolyKind.ASSOCIATED else ""
-            raise ConvergenceError(
-                f"found {len(roots)} of the {self.m // 2} positive roots of "
-                f"R{star}_{{{self.m},{self.nu:.6g}}}"
-            )
+        if not ((0.0 < roots) & (roots < math.inf)).all():
+            raise ConvergenceError(f"the roots of {self._name()} are not all finite and positive")
         return roots
 
     def root_list(self):
         """`roots()` as a ZeroList; `tolerance` is the largest scaled residual
         |R(r)| / max(1, |R'(r)|) reached over the roots."""
-        from .zeros import ZeroList
+        from .zeros import ConvergenceError, ZeroList
 
         xs = self.roots().tolist()
         vals = [abs(self(x)) for x in xs]
+        if not all(map(math.isfinite, vals)):
+            raise ConvergenceError(f"the residuals at the roots of {self._name()} are not finite")
         return ZeroList(
             fid=self,
             zeros=tuple(xs),
             residuals=tuple(vals),
-            method="companion-matrix + bisection/Newton",
+            method="Jacobi-matrix eigenvalues + bisection/Newton where the kernel changes sign",
             tolerance=max(
                 (v / max(1.0, abs(self.prime(x))) for x, v in zip(xs, vals)), default=0.0
             ),
@@ -211,33 +213,32 @@ def _scalar_kernel(coeffs, m: int, derivative: bool = False):
 def root_positions(n: int, nu: float, kind: PolyKind = PolyKind.PLAIN) -> np.ndarray:
     """Positive roots of R_{n,nu} (plain) or R*_{n,nu} (associated), ascending.
 
-    Each root of the companion matrix of sum c_k u^k, u = (x/2)^2, is kept if a small
-    bracket around it confirms a sign change (`LommelCoefficients.roots` checks the
-    count), then refined by bisection and a Newton polish on `_scalar_kernel` that
-    accepts only points within 1e-9 of the bracket.  Each bisection step (at most 80)
-    is a deterministic map of (a, b, fa, fb); once the midpoint rounds to an end and
-    the step would leave the state as it is, every later step is a no-op too, so the
-    loop stops there.  The Newton polish of at most 4 steps stops in the same way at
-    a fixed point.
+    h(t) = R(1/t) is an orthogonal polynomial (Dickinson 1954), so the n // 2 roots
+    are the reciprocals of the top n // 2 eigenvalues of its n x n Jacobi matrix:
+    zero diagonal, off-diagonal 1 / (2 sqrt((nu+k)(nu+k+1))), k = 0..n-2, whose first
+    entry is sqrt(1 / (2 nu (nu+1))) for R*.  Where `_scalar_kernel` changes sign
+    within 1e-13 x0 of such a root x0, bisection (at most 80 steps; each is a
+    deterministic map of (a, b, fa, fb), so it stops once a step would leave the state
+    as it is) and a Newton polish of at most 4 steps that stops at a fixed point or on
+    leaving that band refine it; elsewhere x0 stands.
     """
+    if n < 2:
+        return np.empty(0)
+    k = nu + np.arange(n - 1.0)
+    off = 0.5 / (np.sqrt(k) * np.sqrt(k + 1.0))
+    if kind is PolyKind.ASSOCIATED:
+        off[0] = math.sqrt(0.5 / nu) / math.sqrt(nu + 1.0)
+    with np.errstate(divide="ignore", over="ignore"):  # an underflowed eigenvalue gives inf
+        xs = 1.0 / np.linalg.eigvalsh(np.diag(off, -1))[n - n // 2 :][::-1]
     coeffs = _plain_coeffs(n, nu) if kind is PolyKind.PLAIN else _assoc_coeffs(n, nu)
     f = _scalar_kernel(coeffs, n)
     fp = _scalar_kernel(coeffs, n, derivative=True)
     roots = []
-    for u in np.polynomial.Polynomial(coeffs).roots():
-        if abs(u.imag) > 1e-8 * (1.0 + abs(u)) or u.real <= 0.0:
-            continue
-        x0 = 2.0 * math.sqrt(u.real)
-        h = 1e-6 * (1.0 + x0)
-        a, b = x0 - h, x0 + h
-        fa, fb = f(a), f(b)
-        for _ in range(60):
-            if fa * fb <= 0.0:
-                break
-            h *= 2.0
-            a, b = max(x0 - h, 1e-12), x0 + h
-            fa, fb = f(a), f(b)
+    for x0 in xs.tolist():
+        lo, hi = x0 - 1e-13 * x0, x0 + 1e-13 * x0
+        a, b, fa, fb = lo, hi, f(lo), f(hi)
         if not fa * fb <= 0.0:
+            roots.append(x0)
             continue
         for _ in range(80):
             mid = 0.5 * (a + b)
@@ -255,13 +256,11 @@ def root_positions(n: int, nu: float, kind: PolyKind = PolyKind.PLAIN) -> np.nda
             d = fp(x1)
             if d == 0.0:
                 break
-            step = f(x1) / d
-            x2 = x1 - step
-            if x2 == x1 or not a - 1e-9 <= x2 <= b + 1e-9:
-                break  # x1 is a fixed point, or the step leaves the bracket
+            x2 = x1 - f(x1) / d
+            if x2 == x1 or not lo <= x2 <= hi:
+                break  # x1 is a fixed point, or the step leaves the band
             x1 = x2
         roots.append(x1)
-    roots.sort()
     return np.asarray(roots)
 
 

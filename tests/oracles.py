@@ -53,19 +53,34 @@ def k0_quadrature(x) -> float:
     return float(mp.quad(lambda t: mp.exp(-mp.mpf(x) * mp.cosh(t)), [0, 14]))
 
 
+def _gamma_ratio_terms(m: int, nu) -> list:
+    """(c_k, 2k - m) with R_{m,nu}(x) = sum c_k (x/2)^(2k-m), c_k the literal Gamma quotients."""
+    nu = mp.mpf(nu)  # the orders nu + k are exact
+    return [
+        ((-1) ** k * mp.binomial(m - k, k) * mp.gamma(nu + m - k) / mp.gamma(nu + k), 2 * k - m)
+        for k in range(m // 2 + 1)
+    ]
+
+
 def gamma_ratio_lommel(m: int, nu, x) -> float:
     """R_{m,nu}(x) evaluated from the literal Gamma-quotient coefficients."""
     xh = mp.mpf(x) / 2
     s = mp.mpf(0)
-    for k in range(m // 2 + 1):
-        s += (
-            (-1) ** k
-            * mp.binomial(m - k, k)
-            * mp.gamma(nu + m - k)
-            / mp.gamma(nu + k)
-            * xh ** (2 * k - m)
-        )
+    for c, e in _gamma_ratio_terms(m, nu):
+        s += c * xh**e
     return float(s)
+
+
+def lommel_sign_changes(m: int, nu, xs, rel: float, assoc: bool = False) -> list:
+    """For each x in xs, whether R_{m,nu}, or with `assoc` R*_{m,nu} = (R_{m,nu} -
+    R_{m-2,nu+2}) / 2, changes sign between x (1 - rel) and x (1 + rel).  The
+    Gamma-quotient form runs at m + 40 digits, which covers its cancellation."""
+    with mp.workdps(m + 40):
+        terms = _gamma_ratio_terms(m, nu)
+        if assoc:
+            terms += [(-c, e) for c, e in _gamma_ratio_terms(m - 2, nu + 2)]
+        R = lambda x: sum(c * (x / 2) ** e for c, e in terms)
+        return [R(x - rel * x) * R(x + rel * x) <= 0 for x in map(mp.mpf, xs)]
 
 
 def stencil5_derivative(f, x, h) -> float:

@@ -1,5 +1,5 @@
-"""The fast Lommel root solver, zero scan and zero refinement return the same
-floats, bit for bit, as the straightforward versions they replaced.
+"""The Lommel root solver (up to degree 5), zero scan and zero refinement return
+the same floats, bit for bit, as the straightforward versions they replaced.
 
 The references below are the earlier implementations, kept verbatim: the
 numpy-array polynomial kernels `_poly_eval`/`_poly_prime`, the Lommel root
@@ -17,6 +17,7 @@ import random
 
 import numpy as np
 import pytest
+from oracles import lommel_sign_changes
 
 from bessel_lommel import lommel as L
 from bessel_lommel import interlace as I
@@ -144,13 +145,37 @@ def _root_cases():
     return cases
 
 
+def _low_degree_root_cases():
+    rng = random.Random(20261019)
+    cases = [(n, lam, kind) for n, lam, kind in _root_cases() if n <= 5]
+    for _ in range(200):
+        cases.append((rng.randint(2, 5), rng.uniform(0.0, 60.0), rng.choice(list(PolyKind))))
+    return cases
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_root_positions_match_reference_bitwise():
-    for n, lam, kind in _root_cases():
+    # up to degree 5, which covers every README root, bisection from the Jacobi root
+    # lands on the reference's float; above it the kernel changes sign several times
+    # within a few ulps, and `test_root_positions_bracket_an_mpmath_sign_change`
+    # checks the roots against mpmath instead
+    for n, lam, kind in _low_degree_root_cases():
         # the reference takes the plain kind's offset lam = nu - 1
         got = L.root_positions(n, lam + 1.0 if kind is PolyKind.PLAIN else lam, kind)
         want = reference_root_positions(n, lam, kind)
         assert _hex(got) == _hex(want), (n, lam, kind)
+
+
+def test_root_positions_bracket_an_mpmath_sign_change():
+    # all n // 2 roots, each within 3e-13 relative of a sign change of the
+    # polynomial in mpmath; the reference search drops roots from n = 56 and
+    # returns non-roots above n = 27
+    for n, lam, kind in _root_cases():
+        assoc = kind is PolyKind.ASSOCIATED
+        nu = lam if assoc else lam + 1.0
+        got = L.root_positions(n, nu, kind)
+        assert len(got) == n // 2, (n, lam, kind)
+        assert all(lommel_sign_changes(n, nu, got.tolist(), 3e-13, assoc)), (n, lam, kind)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

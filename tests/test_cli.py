@@ -3,9 +3,11 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from oracles import lommel_sign_changes
 
 from bessel_lommel.cli import main
 
@@ -243,13 +245,35 @@ def test_bracket_without_sign_change_exits_1(capsys):
 
 
 def test_trajectory_root_deficit_exits_1(capsys):
+    # a search from companion-matrix candidates found 22 of the 26 roots of
+    # R_{52,nu+1} here and the trace exited 1; the Jacobi roots are complete
     code, out, err = run_cli(
         capsys, "trajectory", "--m", "53", "--nu-from", "50", "--nu-to", "50.25",
         "--step", "0.125", "--k-max", "2", "--l-max", "26",
     )
-    assert code == 1
-    assert out == ""
-    assert err.startswith("ConvergenceError: found 22 of the 26 positive roots")
+    assert code == 0 and err == ""
+    _assert_root_samples_are_roots(json.loads(out), 53, 26)
+
+
+def _assert_root_samples_are_roots(doc, m, count):
+    """Every printed root of R_{m-1,nu+1} lies within 3e-13 of an mpmath sign change."""
+    rho = [t["samples"] for t in doc["trajectories"] if t["curve_id"].startswith("rho")]
+    assert len(rho) == count
+    for i, (nu, _) in enumerate(rho[0]):
+        assert all(lommel_sign_changes(m - 1, nu + 1.0, [curve[i][1] for curve in rho], 3e-13))
+
+
+@pytest.mark.parametrize("m, l_max", [(17, 8), (29, 14)])
+def test_trajectory_roots_steeper_than_the_guard_bound_exit_0(capsys, m, l_max):
+    # the top root of R_{16,nu+1} moves at slope up to eta_limit(16) = 10.84, above
+    # the continuity guard's bound of 10, which once refused every such trace; the
+    # guard now watches the zero curves only
+    code, out, err = run_cli(
+        capsys, "trajectory", "--m", str(m), "--nu-from", "5", "--nu-to", "6",
+        "--step", "0.125", "--k-max", "1", "--l-max", str(l_max),
+    )
+    assert code == 0 and err == ""
+    _assert_root_samples_are_roots(json.loads(out), m, l_max)
 
 
 @pytest.mark.parametrize("l, k", [("0", "6"), ("2", "0")])
@@ -312,12 +336,36 @@ def test_wronskian_truncation_flag_and_key_obey_one_rule(tmp_path: Path, capsys,
 
 
 def test_lommel_roots_deficit_exits_1(capsys):
-    # R_{52,51} has 26 positive roots; the solver confirms 22 of them
+    # R_{52,51} has 26 positive roots, of which a search from companion-matrix
+    # candidates confirmed 22; the Jacobi matrix gives all 26.  Roots that are not
+    # finite, where the matrix underflows, exit 1
     code, out, err = run_cli(capsys, "lommel", "--m", "52", "--nu", "51", "--roots")
+    assert code == 0 and err == ""
+    roots = json.loads(out)["roots"]
+    assert len(roots) == 26 and all(lommel_sign_changes(52, 51.0, roots, 3e-13))
+    code, out, err = run_cli(capsys, "lommel", "--m", "2", "--nu", "1e308", "--roots")
     assert code == 1
     assert out == ""
-    assert err.startswith("ConvergenceError: found 22 of the 26 positive roots")
-    assert len(err.splitlines()) == 1
+    assert err == "ConvergenceError: the roots of R_{2,1e+308} are not all finite and positive\n"
+
+
+def test_lommel_roots_whose_residuals_overflow_exit_1(capsys):
+    # the coefficients of R_{199,1001} overflow, so no residual can be evaluated;
+    # NaN residuals would not be valid JSON
+    code, out, err = run_cli(capsys, "lommel", "--m", "199", "--nu", "1001", "--roots")
+    assert code == 1
+    assert out == ""
+    assert err == "ConvergenceError: the residuals at the roots of R_{199,1001} are not finite\n"
+
+
+def test_bracket_past_the_zero_cap_exits_2_at_once(capsys):
+    # about 5.8e9 base zeros at each end lie below the largest root at nu = 2e10
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "common-zero", "--m", "4", "--bracket", "1e10", "2e10")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domain error: the query would tabulate") and "at most 1000000" in err
 
 
 def test_alpha_outside_family_c_exits_2(capsys):

@@ -1,16 +1,16 @@
 import importlib
 import math
+import time
 
 import mpmath as mp
 import numpy as np
 import pytest
-from oracles import shifted_sign_at_zero
+from oracles import lommel_sign_changes, shifted_sign_at_zero
 
 import bessel_lommel as bl
 import bessel_lommel.continuation as C
 from bessel_lommel.continuation import BracketError
 from bessel_lommel.special import DomainError, jv
-from bessel_lommel.zeros import ConvergenceError
 
 
 def test_solve_inside_published_bracket():
@@ -104,25 +104,30 @@ def test_order_grid_rejects_grids_that_never_end(nu_from, nu_to, step, match):
 
 
 def test_root_deficit_raises_on_every_path(monkeypatch):
-    # near nu = 50 the root solver finds fewer roots of R_{m-1,nu+1} than the
-    # (m-1)//2 that theory gives (22 of 26 at m = 53, 20 of 30 at m = 61); trace
-    # and the distance refuse instead of answering from a short root list.  Scan
-    # and bracket need roots only where J_{nu+m} changes sign at a base zero: the
-    # mpmath signs confirm that it changes sign nowhere in the scan's window, and
-    # that the bracket holds a sign change at the 250th zero, so it refuses
+    # near nu = 50 a search from companion-matrix candidates found fewer roots of
+    # R_{m-1,nu+1} than the (m-1)//2 that theory gives (22 of 26 at m = 53), and the
+    # bracket, the trace and the distance refused.  The Jacobi roots are complete, so
+    # they answer.  The mpmath signs confirm that J_{nu+m} changes sign nowhere in the
+    # scan's window, and that the bracket holds a sign change at the 250th zero
     from bessel_lommel.continuation import _distance
 
     seen = _record_tables(monkeypatch)
     assert bl.scan_nu_star(61, 2, 50.3, nu_min=50.0) == []
-    with pytest.raises(ConvergenceError, match="22 of the 26"):
-        bl.find_in_bracket(53, 50.0, 50.05)
     assert _oracle_crossings(61, 2, seen[0]) == set()
+    (sol,) = bl.find_in_bracket(53, 50.0, 50.05)
     z = [bl.zeros(bl.FunctionId(bl.Kind.BESSEL_J, nu), 250).zeros[-1] for nu in (50.0, 50.05)]
     assert [shifted_sign_at_zero(nu, 53, x) for nu, x in zip((50.0, 50.05), z)] == [1, -1]
-    with pytest.raises(ConvergenceError, match="22 of the 26"):
-        bl.trace_trajectories(53, (50.0, 50.25), 0.125, k_max=2, l_max=26)
-    with pytest.raises(ConvergenceError):
-        _distance(53, 1, 1, 50.0, 0.0)
+    assert (sol.l, sol.k) == (25, 250)
+    assert sol.nu_star == pytest.approx(50.00401083252579, rel=1e-13)
+    assert sol.x_star == pytest.approx(861.707779857333, rel=1e-13)
+    assert abs(mp.besselj(sol.nu_star, sol.x_star)) < 1e-10
+    assert abs(mp.besselj(sol.nu_star + 53, sol.x_star)) < 1e-10
+    res = bl.trace_trajectories(53, (50.0, 50.25), 0.125, k_max=2, l_max=26)
+    rho = [t.samples for t in res.trajectories if t.curve_id.startswith("rho")]
+    assert len(rho) == 26
+    for i, (nu, _) in enumerate(rho[0]):
+        assert all(lommel_sign_changes(52, nu + 1.0, [curve[i][1] for curve in rho], 3e-13))
+    assert _distance(53, 1, 1, 50.0, 0.0) > 0.0
     with pytest.raises(DomainError):
         _distance(53, 27, 1, 1.0, 0.0)
 
@@ -336,9 +341,23 @@ def test_bracket_looks_at_every_base_zero_below_the_root_bound(monkeypatch, m, n
 
 
 def test_bracket_without_a_finite_root_bound_is_refused():
-    # the constant coefficient of R_{3,nu+1}, nu (nu+1) (nu+2), overflows
-    with pytest.raises(ConvergenceError, match="no finite bound"):
+    # the constant coefficient of R_{3,nu+1}, nu (nu+1) (nu+2), overflows, which once
+    # left no finite Laguerre-Samuelson bound; the largest root is finite, but about
+    # 5.8e102 base zeros lie below it, more than a query may tabulate
+    with pytest.raises(DomainError, match="at most 1000000 in all"):
         bl.find_in_bracket(4, 1e103, 2e103)
+
+
+@pytest.mark.parametrize(
+    "query", [lambda: bl.find_in_bracket(4, 1e10, 2e10), lambda: bl.scan_nu_star(4, 10**9, 20.0)],
+    ids=["bracket", "scan"],
+)
+def test_queries_past_the_zero_cap_are_refused_at_once(query):
+    # 5.8e9 base zeros at each end of the bracket, 1e9 at each of 169 scan orders
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="at most 1000000 in all"):
+        query()
+    assert time.perf_counter() - start < 1.0
 
 
 def _oracle_crossings(m, k_max, nus):

@@ -19,7 +19,7 @@ from bessel_lommel.lommel import (
 from bessel_lommel.special import DomainError
 from bessel_lommel.zeros import ConvergenceError
 
-from oracles import gamma_ratio_lommel
+from oracles import gamma_ratio_lommel, lommel_sign_changes
 
 NU_GRID = (-0.5, 0.0, 1.125, 2.7, 5.619, 10.0)
 X_GRID = np.arange(0.5, 50.0 + 0.25, 0.5)
@@ -157,11 +157,16 @@ def test_root_tolerance_of_no_roots_is_zero():
 
 
 def test_root_deficit_raises():
-    # R_{52,51} has 26 positive roots; the solver confirms 22 of them
-    with pytest.raises(ConvergenceError, match="found 22 of the 26"):
-        bl.lommel_roots(52, 50.0)
-    with pytest.raises(ConvergenceError, match="found 22 of the 26"):
-        bl.lommel_coefficients(52, 51.0).roots()
+    # R_{52,51} has 26 positive roots, of which a search from companion-matrix
+    # candidates confirmed 22; the Jacobi matrix gives all 26, each next to an
+    # mpmath sign change.  The one refusal left is a root that is not finite: at
+    # nu = 1.5e308 the matrix underflows
+    for roots in (bl.lommel_roots(52, 50.0).zeros, bl.lommel_coefficients(52, 51.0).roots()):
+        assert len(roots) == 26
+        assert all(lommel_sign_changes(52, 51.0, list(roots), 3e-13))
+    for kind in PolyKind:
+        with pytest.raises(ConvergenceError, match="not all finite and positive"):
+            bl.lommel_coefficients(2, 1.5e308, kind).roots()
 
 
 def test_roots_require_positive_order():

@@ -8,8 +8,14 @@ given, through `perfbench/worker.execute` with the package imported from the
 given `src/` tree, and writes the answers as JSON, one run per seed, with every
 float spelled as `float.hex`.  A query that raises is recorded as its exception
 type and message, as the benchmark records it.  `diff` compares the two dumps
-seed by seed: for each run it reports the first query whose answer differs, or
-the number of identical answers, and it exits 1 if any run differs.
+seed by seed.  For each run it reports the number of identical answers, or how
+many answers differ and the ops of their queries.  Over the answers that differ
+in their floats only, it prints the largest relative change of each float
+field.  A field keeps a float's index in its own list but drops the indices of
+lists that hold lists or dicts, and the bracketed part of a key: nu* of every
+solution `[l, k, nu*, x*]` is one field, `solutions[][2]`, and the x of every
+`rho[...]` curve sample `[nu, x]` is another, `curves.rho[][1]`.  It shows the first answer that differs in more than its floats in full,
+and it exits 1 if any run differs.
 
 To check that a change keeps every answer, dump the parent commit's `src/`
 (from a `git clone` or `git archive` of it) and the working tree's, then diff.
@@ -18,7 +24,10 @@ To check that a change keeps every answer, dump the parent commit's `src/`
 from __future__ import annotations
 
 import argparse
+import collections
 import json
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -56,22 +65,62 @@ def dump(workload: str, seeds, src: str) -> list:
     return runs
 
 
+_HEX_FLOAT = re.compile(r"-?(0x[0-9a-f.]+p[+-]\d+|inf)|nan")
+
+
+def _split(value, field: str = ""):
+    """A dumped answer as (shape, floats): the shape has None for each float, and
+    floats lists (field, float) in order."""
+    if isinstance(value, dict):
+        pairs = [(k, _split(v, f"{field}.{k.split('[')[0]}".lstrip("."))) for k, v in value.items()]
+        return {k: shape for k, (shape, _) in pairs}, [f for _, (_, fs) in pairs for f in fs]
+    if isinstance(value, list):
+        flat = not any(isinstance(v, (dict, list)) for v in value)
+        parts = [_split(v, f"{field}[{i if flat else ''}]") for i, v in enumerate(value)]
+        return [shape for shape, _ in parts], [f for _, fs in parts for f in fs]
+    if isinstance(value, str) and _HEX_FLOAT.fullmatch(value):
+        return None, [(field, float.fromhex(value))]
+    return value, []
+
+
+def _relative_change(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(b - a) / abs(a) if a and math.isfinite(a) else math.inf
+
+
 def _diff_run(old: dict, new: dict) -> int:
+    run = f"{old['workload']} seed {old['seed']}"
     if (old["workload"], old["seed"]) != (new["workload"], new["seed"]):
-        print(f"different runs: {old['workload']} seed {old['seed']} "
-              f"vs {new['workload']} seed {new['seed']}")
+        print(f"different runs: {run} vs {new['workload']} seed {new['seed']}")
         return 1
     if len(old["answers"]) != len(new["answers"]):
         print(f"answer counts differ: {len(old['answers'])} vs {len(new['answers'])}")
         return 1
-    for i, (a, b) in enumerate(zip(old["answers"], new["answers"])):
-        if a != b:
-            print(f"query {i} differs: {json.dumps(old['queries'][i])}")
-            print(f"  old: {json.dumps(a)}")
-            print(f"  new: {json.dumps(b)}")
-            return 1
-    print(f"{len(old['answers'])} answers identical ({old['workload']} seed {old['seed']})")
-    return 0
+    differ = [i for i, (a, b) in enumerate(zip(old["answers"], new["answers"])) if a != b]
+    if not differ:
+        print(f"{len(old['answers'])} answers identical ({run})")
+        return 0
+    ops = collections.Counter(old["queries"][i]["op"] for i in differ)
+    print(f"{len(differ)} of {len(old['answers'])} answers differ ({run}): "
+          + ", ".join(f"{op} {count}" for op, count in sorted(ops.items())))
+    change, reshaped = {}, []
+    for i in differ:
+        (shape_a, floats_a), (shape_b, floats_b) = _split(old["answers"][i]), _split(new["answers"][i])
+        if shape_a != shape_b:
+            reshaped.append(i)
+            continue
+        for (field, a), (_, b) in zip(floats_a, floats_b):
+            change[field] = max(change.get(field, 0.0), _relative_change(a, b))
+    for field, largest in sorted(change.items()):
+        print(f"  {field}: largest relative change {largest:.3g}")
+    if reshaped:
+        i = reshaped[0]
+        print(f"  {len(reshaped)} differ in more than their floats; the first is query {i}: "
+              f"{json.dumps(old['queries'][i])}")
+        print(f"    old: {json.dumps(old['answers'][i])}")
+        print(f"    new: {json.dumps(new['answers'][i])}")
+    return 1
 
 
 def diff(old: list, new: list) -> int:
