@@ -58,7 +58,6 @@ from .interlace import (
 )
 from .continuation import (
     BracketError,
-    IndexCrossingError,
     NuStarSolution,
     Trajectory,
     find_in_bracket,

@@ -393,11 +393,7 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return 2
-    except (
-        _continuation.IndexCrossingError,
-        ConvergenceError,
-        RuntimeError,
-    ) as exc:
+    except (ConvergenceError, RuntimeError) as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 1
 

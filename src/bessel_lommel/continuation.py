@@ -9,10 +9,10 @@ its ends, which fix the sign of g where they agree.  Only the orders next to a s
 change of g, or where a sign is undecided, get exact zeros, and only the two orders
 of a sign change get Lommel roots: the one root whose d changes sign names the
 crossing, which is solved from those two values of d.  Only `Pair.common` accepts
-the solution; a trace solves every order and keeps the continuity guard on the
-zero curves it prints.  Cylinder functions take C_nu and c_{nu,k} in place of J_nu
-and j_{nu,k}.  The crossing orders are irrational (no rational order can produce a
-common zero), which is reported as an annotation rather than asserted numerically.
+the solution; a trace refines every order, whose zeros it prints.  Cylinder
+functions take C_nu and c_{nu,k} in place of J_nu and j_{nu,k}.  The crossing
+orders are irrational (no rational order can produce a common zero), which is
+reported as an annotation rather than asserted numerically.
 """
 
 from __future__ import annotations
@@ -26,18 +26,13 @@ import numpy as np
 from . import special as _special
 from .interlace import Family, Pair
 from .special import DomainError
-from .zeros import _zero_stages, zero_table, zeros
+from .zeros import ConvergenceError, _zero_stages, zero_table, zeros
 
 
 class BracketError(ValueError):
     """The distance function does not change sign over the given bracket."""
 
 
-class IndexCrossingError(RuntimeError):
-    """A zero or root changed identity inside the continuation range."""
-
-
-_SLOPE_BOUND = 5.0
 # lowest order of a scan, just above the family's domain floor
 _SCAN_FLOOR = {Family.BESSEL_J: -1.0 + 1.0 / 16.0, Family.CYLINDER: 1e-3}
 # most orders an order grid may hold; each order costs a zero search
@@ -100,11 +95,12 @@ def _check_index(pair: Pair, l: int, k: int) -> None:
         raise DomainError(f"need 1 <= l <= {pair.max_common} and k >= 1; got l={l}, k={k}")
 
 
-def _distance(m: int, l: int, k: int, nu: float, alpha: float) -> float:
-    """rho_{m-1,nu,l} - (k-th base zero); checks l and k for every `_solve` step."""
-    pair = _pair(m, nu, alpha)
+def _distance(m: int, l: int, k: int, nu: float, alpha: float, found: dict | None = None) -> float:
+    """rho_{m-1,nu,l} - (base zero k, kept in found[nu]); checks l and k for each step."""
+    pair, found = _pair(m, nu, alpha), {} if found is None else found
     _check_index(pair, l, k)
-    return float(pair.poly.roots()[l - 1]) - zeros(pair.base, k).zeros[k - 1]
+    found[nu] = zeros(pair.base, k).zeros[k - 1]
+    return float(pair.poly.roots()[l - 1]) - found[nu]
 
 
 def _check_grid(lo: float, hi: float, step: float) -> None:
@@ -118,15 +114,6 @@ def _check_grid(lo: float, hi: float, step: float) -> None:
         raise DomainError(f"the order grid requires step > 0 that moves the order; got {step:g}")
     if (hi - lo) / step > _MAX_ORDERS:
         raise DomainError(f"the order grid exceeds {_MAX_ORDERS} orders at step {step:g}")
-
-
-def _guard_continuity(values, step: float) -> None:
-    for a, b in zip(values, values[1:]):
-        if abs(b - a) > 2.0 * step * _SLOPE_BOUND:
-            raise IndexCrossingError(
-                f"distance jumped by {abs(b - a):.3g} over a step of {step:.3g}; "
-                "a zero index likely changed identity"
-            )
 
 
 def _check_query(m: int, *bracket: float) -> None:
@@ -155,23 +142,58 @@ def solve_nu_star(
     return _solve(m, l, k, nu_lo, nu_hi, d_lo, d_hi, alpha)
 
 
+def _brentq(f, a: float, b: float, fa: float, fb: float) -> float:
+    """The root of f from a to b, given fa = f(a) and fb = f(b): scipy's C `brentq` step for
+    step, xtol = 1e-12, rtol = 8.9e-16.  Same-sign ends are a BracketError; a NaN, or 100
+    steps unconverged, a ConvergenceError.  ROADMAP item 4's 2x2 polish replaces it."""
+    def value(x: float, fx: float) -> float:
+        if math.isnan(fx):
+            raise ConvergenceError(f"d({x:.12g}) is NaN: the crossing cannot be solved")
+        return float(fx)
+
+    xpre, xcur, fpre, fcur = float(a), float(b), value(a, fa), value(b, fb)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise BracketError(f"d({a:.6g}) = {fa:.6g} and d({b:.6g}) = {fb:.6g} have the same sign")
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (1e-12 + 8.9e-16 * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic; a zero divisor gives NaN (C: inf or NaN), which bisects
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre) or math.nan)
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+            spre, scur = (scur, stry) if short else (sbis, sbis)
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur, f(xcur))
+    raise ConvergenceError(f"100 iterations found no crossing between nu = {a:.12g} and {b:.12g}")
+
+
 def _solve(
     m: int, l: int, k: int, nu_lo: float, nu_hi: float, d_lo: float, d_hi: float, alpha: float
 ) -> NuStarSolution:
     """The crossing of d(nu) = rho_{m-1,nu,l} - (k-th base zero) between two orders at which
     a table holds d_lo and d_hi, accepted only if `Pair.common` takes x* for a common zero.
-    `scipy.optimize` is imported on first use, so the first solve in a process pays it."""
-    from scipy.optimize import brentq
-
-    if d_lo * d_hi > 0.0:
-        raise BracketError(
-            f"d({nu_lo:.6g}) = {d_lo:.6g} and d({nu_hi:.6g}) = {d_hi:.6g} have the same sign"
-        )
-    ends = {nu_lo: d_lo, nu_hi: d_hi}  # the table's values; brentq asks for both ends first
-    d = lambda nu: ends[nu] if nu in ends else _distance(m, l, k, nu, alpha)
-    nu_star = brentq(d, nu_lo, nu_hi, xtol=1e-12, rtol=8.9e-16)
+    x* is the base zero that d found at nu*; only at a bracket end is it searched again."""
+    found = {}
+    nu_star = _brentq(lambda nu: _distance(m, l, k, nu, alpha, found), nu_lo, nu_hi, d_lo, d_hi)
     pair = _pair(m, nu_star, alpha)
-    x_star = zeros(pair.base, k).zeros[k - 1]
+    x_star = found[nu_star] if nu_star in found else zeros(pair.base, k).zeros[k - 1]
     res_lo = abs(float(_special.value_fn(pair.base)(x_star)))
     res_hi = abs(float(_special.value_fn(pair.shifted)(x_star)))
     if not pair.common([x_star])[0]:
@@ -304,8 +326,6 @@ def trace_trajectories(
     tag = _family(alpha).value
     curves = [(f"{tag}[nu,{k+1}]", base[:, k, 0]) for k in range(k_max)]
     curves += [(f"{tag}[nu+{m},{k+1}]", high[:, k]) for k in range(k_max)]
-    for _, column in curves:
-        _guard_continuity(column.tolist(), step)
     curves += [(f"rho[{m-1},nu,{l+1}]", rho[:, l]) for l in range(min(l_max, rho.shape[1]))]
     trajectories = [Trajectory(m, cid, tuple(zip(nus, col.tolist()))) for cid, col in curves]
     return TraceResult(tuple(trajectories), tuple(_crossings(m, nus, table, alpha)))

@@ -1,7 +1,8 @@
 """Evaluation of the Bessel / cylinder function family.
 
 Wraps the vetted backend routines (scipy.special) in raw vectorized
-evaluators (``jv``, ``jvp``, ``cyl``, ...), which every algorithm calls.  Each
+evaluators (``jv``, ``jvp``, ``cyl``, ...; ``Y_nu`` as Im ``H1_nu``, bit for bit
+``scipy.special.yv``), which every algorithm calls.  Each
 contract function checks the domain, takes its value from one of them and
 returns an :class:`EvalResult` with a conservative absolute-error estimate,
 validated against an independent high-precision oracle on the fixture grid
@@ -90,8 +91,22 @@ def jv(nu, x):
     return _sp.jv(nu, x)
 
 
+def _y(nu, x):
+    """Im H1_nu(x), bit for bit Y_nu(x) from one AMOS call where `scipy.special.yv` makes
+    two; `yv` answers for nu < 0, x < 0 and wherever H1 is not finite (x = 0, x >~ 1e17)."""
+    y = _sp.hankel1(nu, x).imag.copy()  # contiguous, as yv returns it
+    if y.ndim == 0:
+        return y if nu >= 0 and x >= 0 and math.isfinite(y) else _sp.yv(nu, x)
+    redo = (np.asarray(nu) < 0) | (np.asarray(x) < 0) | ~np.isfinite(y)
+    if redo.any():
+        nu, x = np.broadcast_arrays(nu, x)
+        y[redo] = _sp.yv(nu[redo], x[redo])
+    return y
+
+
 def yv(nu, x):
-    return _sp.yv(nu, x)
+    """Y_nu(x) from `_y`: scipy's `yv`, bit for bit, at about half its cost for nu >= 0."""
+    return _y(nu, x)
 
 
 def jvp(nu, x):
@@ -99,7 +114,7 @@ def jvp(nu, x):
 
 
 def yvp(nu, x):
-    return 0.5 * (_sp.yv(nu - 1.0, x) - _sp.yv(nu + 1.0, x))
+    return 0.5 * (_y(nu - 1.0, x) - _y(nu + 1.0, x))
 
 
 def jvpp(nu, x):
@@ -109,7 +124,7 @@ def jvpp(nu, x):
 
 
 def cyl(alpha, nu, x):
-    return math.cos(alpha) * _sp.jv(nu, x) - math.sin(alpha) * _sp.yv(nu, x)
+    return math.cos(alpha) * _sp.jv(nu, x) - math.sin(alpha) * _y(nu, x)
 
 
 def cylp(alpha, nu, x):

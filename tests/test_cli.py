@@ -267,7 +267,7 @@ def _assert_root_samples_are_roots(doc, m, count):
 def test_trajectory_roots_steeper_than_the_guard_bound_exit_0(capsys, m, l_max):
     # the top root of R_{16,nu+1} moves at slope up to eta_limit(16) = 10.84, above
     # the continuity guard's bound of 10, which once refused every such trace; the
-    # guard now watches the zero curves only
+    # guard is gone
     code, out, err = run_cli(
         capsys, "trajectory", "--m", str(m), "--nu-from", "5", "--nu-to", "6",
         "--step", "0.125", "--k-max", "1", "--l-max", str(l_max),
@@ -418,11 +418,20 @@ def test_float_formatting_15_digits(capsys):
     assert len(zero_text.replace(".", "").replace("-", "").lstrip("0")) <= 16
 
 
-def test_readme_commands_match_golden_output(capsys):
+def _readme_commands() -> list:
     prefix = "bessel-lommel "
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     lines = readme.splitlines()
-    commands = [line[len(prefix) :].split() for line in lines if line.startswith(prefix)]
+    return [line[len(prefix) :].split() for line in lines if line.startswith(prefix)]
+
+
+def _src_env() -> dict:
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def test_readme_commands_match_golden_output(capsys):
+    commands = _readme_commands()
     assert len(commands) == len(GOLDEN_NAMES)
     codes = json.loads((GOLDEN / "exit_codes.json").read_text())
     for name, argv in zip(GOLDEN_NAMES, commands):
@@ -432,18 +441,30 @@ def test_readme_commands_match_golden_output(capsys):
 
 
 def test_import_leaves_optimize_and_integrate_unloaded():
-    # brentq and quad are imported on first use, so a cold CLI call that
-    # needs neither does not pay for scipy.optimize or scipy.integrate
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    # only quad is imported on first use, and nothing imports scipy.optimize, so a
+    # cold CLI call that needs no quad pays for neither package
     probe = (
         "import sys, bessel_lommel; "
         "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=_src_env(), capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_readme_commands_leave_optimize_unloaded():
+    # each in a fresh interpreter, as a user runs it; scipy.optimize costs a cold
+    # command about 0.17 s and 23 MB
+    probe = (
+        "import sys; from bessel_lommel.cli import main; main(sys.argv[1:]); "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    for argv in _readme_commands():
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *argv], env=_src_env(), capture_output=True, text=True
+        )
+        assert proc.stdout.splitlines()[-1] == "False", argv
 
 
 def test_trajectory_stops_at_nu_to(capsys):
@@ -456,6 +477,24 @@ def test_trajectory_stops_at_nu_to(capsys):
     nus = [nu for t in doc["trajectories"] for nu, _ in t["samples"]]
     assert max(nus) <= 5.0000000000035
     assert len(doc["trajectories"][0]["samples"]) == 4
+
+
+def test_trajectory_near_order_minus_one_exits_0(capsys):
+    # j_{nu,1} ~ 2 sqrt(nu + 1) has no bounded slope as nu -> -1, where a bound on the
+    # jump between samples refused this curve
+    import mpmath as mp
+
+    code, out, _ = run_cli(
+        capsys, "trajectory", "--m", "3", "--nu-from", "-0.999", "--nu-to", "-0.9",
+        "--step", "0.01", "--k-max", "1", "--l-max", "1",
+    )
+    assert code == 0
+    (curve,) = [t for t in json.loads(out)["trajectories"] if t["curve_id"] == "j[nu,1]"]
+    assert len(curve["samples"]) == 10
+    for nu, x in curve["samples"]:
+        # besseljzero refuses a negative order, so the first zero is found from 2 sqrt(nu + 1)
+        zero = mp.findroot(lambda z: mp.besselj(nu, z), 2 * mp.sqrt(nu + 1))
+        assert abs(x - float(zero)) < 1e-12
 
 
 def test_zeros_count_is_what_was_asked(capsys):

@@ -218,6 +218,90 @@ def test_table_refines_each_function_in_one_pass(monkeypatch):
     assert g.shape == base.shape == (17, 3, 2) and high.shape == (17, 3)
 
 
+def _brent_runs(f, a, b):
+    """(root, evaluated points) of `scipy.optimize.brentq` and of `_brentq` on f from a to b,
+    as float.hex, with None for a root that 100 iterations do not reach; `_brentq` is
+    given f(a) and f(b), which scipy evaluates first."""
+    from scipy.optimize import brentq
+
+    runs = []
+    for solve in (
+        lambda g: brentq(g, a, b, xtol=1e-12, rtol=8.9e-16),
+        lambda g: C._brentq(g, a, b, f(a), f(b)),
+    ):
+        points = []
+        try:
+            root = solve(lambda x: points.append(x) or f(x)).hex()
+        except RuntimeError:  # scipy's refusal, and ConvergenceError
+            root = None
+        runs.append((root, [x.hex() for x in points]))
+    (scipy_root, scipy_points), run = runs
+    return (scipy_root, scipy_points[2:]), run
+
+
+@pytest.mark.parametrize("m, l, k, ends", [(5, 2, 6, (5.619, 5.62)), (4, 1, 2, (16.0625, 15.9375))])
+def test_brentq_matches_scipy_at_the_readme_crossings(m, l, k, ends):
+    f = lambda nu: C._distance(m, l, k, nu, 0.0)
+    scipy_run, run = _brent_runs(f, *ends)
+    assert run == scipy_run and run[0] and run[1]
+
+
+# each shape takes secant and inverse quadratic steps, except the step function, which
+# only bisects; the flat cubic and the steep cube root also have interpolation steps
+# refused, so bisection is forced
+_SHAPES = {
+    "tanh": lambda r, c: lambda x: math.tanh(c * (x - r)) + 0.01 * c,
+    "flat cubic": lambda r, c: lambda x: (x - r) ** 3 + 1e-3 * c * (x - r),
+    "cube root": lambda r, c: lambda x: math.copysign(abs(x - r) ** (1 / 3), x - r) - 1e-3 * c,
+    "step": lambda r, c: lambda x: c if x > r else -c,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_brentq_matches_scipy_point_for_point(shape):
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        r, c = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 5.0)
+        f = _SHAPES[shape](r, c)
+        a, b = rng.uniform(-2.0, 2.0, 2)
+        if f(a) * f(b) < 0.0:  # either order of the ends
+            scipy_run, run = _brent_runs(f, a, b)
+            assert run == scipy_run, (shape, a, b)
+
+
+def test_brentq_returns_a_root_at_an_end_without_evaluating():
+    for a, b in [(0.25, 1.0), (1.0, 0.25)]:
+        scipy_run, run = _brent_runs(lambda x: x - 0.25, a, b)
+        assert run == scipy_run == ((0.25).hex(), [])
+
+
+def test_brentq_refuses_nan_and_exhaustion():
+    from scipy.optimize import brentq
+
+    with pytest.raises(C.ConvergenceError, match="NaN"):
+        C._brentq(lambda x: math.nan, 0.0, 1.0, -1.0, 1.0)
+    with pytest.raises(C.ConvergenceError, match="NaN"):
+        C._brentq(lambda x: x, 0.0, 1.0, math.nan, 1.0)
+    with pytest.raises(BracketError, match="the same sign"):
+        C._brentq(lambda x: x, 0.5, 1.0, 0.5, 1.0)
+    # a step function bisects from 2e300 wide: 100 iterations cannot converge
+    step = lambda x: 1.0 if x > 0.3 else -1.0
+    with pytest.raises(RuntimeError, match="100 iterations"):
+        brentq(step, -1e300, 1e300, xtol=1e-12, rtol=8.9e-16)
+    with pytest.raises(C.ConvergenceError, match="100 iterations"):
+        C._brentq(step, -1e300, 1e300, -1.0, 1.0)
+
+
+def test_nan_distance_is_a_convergence_error(monkeypatch, capsys):
+    from bessel_lommel.cli import main
+
+    monkeypatch.setattr(C, "_distance", lambda *a: math.nan)
+    with pytest.raises(C.ConvergenceError):
+        bl.solve_nu_star(5, 2, 6, 5.619, 5.62)
+    assert main(["common-zero", "--m", "5", "--bracket", "5.619", "5.62"]) == 1
+    assert "ConvergenceError" in capsys.readouterr().err
+
+
 def test_solve_takes_bracket_ends_from_its_grid(monkeypatch):
     import bessel_lommel.continuation as continuation_mod
 

@@ -302,3 +302,32 @@ def test_recurrence_residual_property(nu, x):
     lhs = jv(nu - 1.0, x) + jv(nu + 1.0, x)
     rhs = (2.0 * nu / x) * jv(nu, x)
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(jv(nu, x)))
+
+
+def _bits(values):
+    values = np.asarray(values)
+    assert values.dtype == np.float64
+    return values.view(np.int64)
+
+
+def test_y_from_one_hankel_call_is_bitwise_yv():
+    from scipy import special as sp
+
+    from bessel_lommel.special import _y
+
+    rng = np.random.default_rng(5)
+    orders = np.concatenate(
+        [np.arange(-5.0, 301.0), rng.uniform(-5.0, 300.0, 300), [0.0, -0.0, 1e-300, 1e-12, -1e-12]]
+    )
+    tiny = np.geomspace(1e-300, 1e-3, 60)
+    x = np.concatenate(
+        [[-1.0, 0.0], tiny, rng.uniform(1e-3, 400.0, 60), np.geomspace(1e4, 1e20, 40), [np.inf, np.nan]]
+    )
+    # the 2-D broadcast that a table of orders evaluates
+    assert (_bits(_y(orders[:, None], x)) == _bits(sp.yv(orders[:, None], x))).all()
+    for nu in orders[::7]:  # 1-D, and numpy and Python scalars
+        assert (_bits(_y(nu, x)) == _bits(sp.yv(nu, x))).all()
+        for point in [*x[::9], np.nan]:
+            for args in [(nu, point), (float(nu), float(point))]:
+                y = _y(*args)
+                assert type(y) is np.float64 and _bits(y) == _bits(sp.yv(*args))

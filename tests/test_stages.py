@@ -215,7 +215,7 @@ def test_rows_never_refined_are_validated_on_interval_midpoints(monkeypatch):
 
 
 def test_root_deficit_is_found_before_any_zero_search(monkeypatch):
-    # R_{60,nu+1} has 20 of its 30 roots found near nu = 50, but g keeps its sign over
+    # R_{60,nu+1} has 30 roots near nu = 50, all of them found, but g keeps its sign over
     # this window, so the scan answers from the zeros alone and solves no root
     seen = _root_solves(monkeypatch)
     assert bl.scan_nu_star(61, 2, 50.3, nu_min=50.0) == []
