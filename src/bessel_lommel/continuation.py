@@ -5,14 +5,15 @@ common zero appears exactly where g_k(nu) = J_{nu+m}(j_{nu,k}) changes sign, and
 there the distance d(nu) = rho_{m-1,nu,l} - j_{nu,k} of one root of R_{m-1,nu+1}
 changes sign too.  A scan, bracket or trace query tabulates its orders once
 (`_table`), as a certified interval around each zero and the signs of J_{nu+m} at
-its ends, which fix the sign of g where they agree.  Only the orders next to a sign
-change of g, or where a sign is undecided, get exact zeros, and only the two orders
-of a sign change get Lommel roots: the one root whose d changes sign names the
-crossing, which is solved from those two values of d.  Only `Pair.common` accepts
-the solution; a trace refines every order, whose zeros it prints.  Cylinder
-functions take C_nu and c_{nu,k} in place of J_nu and j_{nu,k}.  The crossing
-orders are irrational (no rational order can produce a common zero), which is
-reported as an annotation rather than asserted numerically.
+its ends, which fix the sign of g where they agree.  Only the zeros (order, k) that
+bound a sign change of g, or whose sign is undecided, get exact values, and only the
+two orders of a sign change get Lommel roots: the one root whose d changes sign names
+the crossing, solved from those two values of d, each step of the solve finishing
+the one zero it reads.  Only `Pair.common` accepts the solution; a trace refines
+every order, whose zeros it prints.  Cylinder functions take C_nu and c_{nu,k} in
+place of J_nu and j_{nu,k}.  The crossing orders are irrational (no rational order
+can produce a common zero), which is reported as an annotation rather than asserted
+numerically.
 """
 
 from __future__ import annotations
@@ -96,10 +97,11 @@ def _check_index(pair: Pair, l: int, k: int) -> None:
 
 
 def _distance(m: int, l: int, k: int, nu: float, alpha: float, found: dict | None = None) -> float:
-    """rho_{m-1,nu,l} - (base zero k, kept in found[nu]); checks l and k for each step."""
+    """rho_{m-1,nu,l} - (base zero k, kept in found[nu]); checks l and k for each step.  Of the
+    first k base zeros, validated on their stage-one midpoints, only the k-th is finished."""
     pair, found = _pair(m, nu, alpha), {} if found is None else found
     _check_index(pair, l, k)
-    found[nu] = zeros(pair.base, k).zeros[k - 1]
+    found[nu] = float(_zero_stages([pair.base], k)[2]([k - 1])[0])
     return float(pair.poly.roots()[l - 1]) - found[nu]
 
 
@@ -137,7 +139,7 @@ def solve_nu_star(
     _check_query(m, nu_lo, nu_hi)
     _check_index(_pair(m, nu_lo, alpha), l, k)
     base, _, refine, roots, _ = _table(m, [nu_lo, nu_hi], k, alpha)
-    refine([0, 1])
+    refine([k - 1, 2 * k - 1])
     d_lo, d_hi = (float(roots(i)[l - 1] - base[i, k - 1, 0]) for i in (0, 1))
     return _solve(m, l, k, nu_lo, nu_hi, d_lo, d_hi, alpha)
 
@@ -207,11 +209,12 @@ def _solve(
 def _table(m: int, nus, k_max: int, alpha: float, shifted: bool = False):
     """Stage one of the first `k_max` base zeros at each order: (base, g, refine, roots,
     high).  base[i, k] is an interval [lo, hi] on a last axis around base zero k + 1 at
-    nus[i], and g[i, k] the signs of the shifted function at its two ends.  `refine(rows)`
-    runs stage two there, so lo == hi is exact and g is the sign at the zero.  `roots(i)`
-    solves the Lommel roots at nus[i] on first use, through `roots()`.  With `shifted`,
-    `high` holds the first `k_max` shifted zeros.  More than `_MAX_ZEROS` zeros in all
-    is a DomainError."""
+    nus[i], and g[i, k] the signs of the shifted function at its two ends.  `refine(cells)`
+    runs stage two on the flat cells i * k_max + k, so lo == hi is exact and g is the sign
+    at the zero, evaluated once; `refine()` does so at every order and validates the
+    zeros.  `roots(i)` solves the Lommel roots at nus[i] on first use, through `roots()`.
+    With `shifted`, `high` holds the first `k_max` shifted zeros.  More than `_MAX_ZEROS`
+    zeros in all is a DomainError."""
     if len(nus) * k_max > _MAX_ZEROS:
         raise DomainError(
             f"the query would tabulate {k_max:.3g} zeros at each of {len(nus)} orders; "
@@ -223,38 +226,36 @@ def _table(m: int, nus, k_max: int, alpha: float, shifted: bool = False):
     g, value = np.empty_like(base), _special.evaluators(pairs[0].shifted.kind, alpha)[0]
     orders = np.asarray(nus, dtype=float) + m  # bit for bit the pairs' shifted orders
 
-    def sign(rows):
-        g[rows] = np.sign(value(orders[rows, None, None], base[rows]))
+    def refine(cells=None):
+        z = finish(cells).ravel()
+        cells = np.arange(z.size) if cells is None else np.asarray(cells)
+        base.reshape(-1, 2)[cells] = z[:, None]
+        g.reshape(-1, 2)[cells] = np.sign(value(orders[cells // k_max], z))[:, None]
 
-    def refine(rows):
-        rows = list(rows)
-        base[rows] = finish(rows)[..., None]
-        sign(rows)
-
-    sign(np.arange(len(nus)))
+    g[:] = np.sign(value(orders[:, None, None], base))
     high = zero_table([pair.shifted for pair in pairs], k_max) if shifted else None
     return base, g, refine, functools.cache(lambda i: pairs[i].poly.roots()), high
 
 
 def _crossings(m: int, nus, table, alpha: float) -> list:
     """Solve every sign change of g[:, k] between neighbouring orders of a `_table`,
-    sorted by nu*.  Rows are refined where a sign is undecided (the two end signs differ
-    or vanish) or bounds a sign change; on exact rows a change is g[i] == 0.0 or
-    g[i] * g[i+1] < 0.0.  The other rows keep their end sign: zeros of the shifted
-    function (order > 2) lie more than pi apart and a stage-one interval is at most pi/2
-    wide, so equal nonzero signs at both ends are the sign at the zero.  At the two
-    orders of a change, the one root l whose d = rho_l - z_k changes sign by the same rule
-    names the crossing; none or several is a BracketError."""
+    sorted by nu*.  Cells (i, k) are refined where a sign is undecided (the two end signs
+    differ or vanish), bounds a sign change, or follows an exact tie; on exact cells a
+    change is g[i, k] == 0.0 or g[i, k] * g[i+1, k] < 0.0.  The other cells keep their end
+    sign: zeros of the shifted function (order > 2) lie more than pi apart and a stage-one
+    interval is at most pi/2 wide, so equal nonzero signs at both ends are the sign at
+    the zero.  At the two orders of a change, the one root l whose d = rho_l - z_k
+    changes sign by the same rule names the crossing; none or several is a BracketError."""
     base, g, refine, roots, _ = table
     while True:
-        exact = (base[..., 0] == base[..., 1]).all(1)
+        exact = base[..., 0] == base[..., 1]
         s = np.where(g[..., 0] == g[..., 1], g[..., 0], 0.0)  # 0 where undecided or nan
-        zero = (s == 0).any(1)
-        flip = (s[:-1] * s[1:] < 0).any(1) | (zero & exact)[:-1]
-        need = zero | np.append(flip, False) | np.insert(flip, 0, False)
+        zero = s == 0
+        flip = (s[:-1] * s[1:] < 0) | (zero & exact)[:-1]
+        need = zero | np.pad(flip, [(0, 1), (0, 0)]) | np.pad(flip, [(1, 0), (0, 0)])
         if (need <= exact).all():
             break
-        refine(np.nonzero(need & ~exact)[0])
+        refine(np.flatnonzero(need & ~exact))
     sols = []
     for i, k in np.argwhere((s[:-1] == 0.0) | (s[:-1] * s[1:] < 0.0)).tolist():
         d = np.array([roots(i), roots(i + 1)]) - base[i : i + 2, k, 0, None]
@@ -320,7 +321,7 @@ def trace_trajectories(
     while nus[-1] + step <= hi + 1e-9 * step:
         nus.append(min(nus[-1] + step, hi))
     table = base, _, refine, roots, high = _table(m, nus, k_max, alpha, shifted=True)
-    refine(range(len(nus)))  # a trace prints its curves
+    refine()  # a trace prints its curves
     rho = np.array([roots(i) for i in range(len(nus))])
 
     tag = _family(alpha).value
@@ -332,7 +333,8 @@ def trace_trajectories(
 
 
 def rational_order_margin(m: int, nu: float, K: int = 20) -> float:
-    """min_k |R_{m-1,nu+1}(j_{nu,k})| over the first K zeros of J_nu.
+    """min_k |R_{m-1,nu+1}(j_{nu,k})| over the first K zeros of J_nu, taken as
+    |J_{nu+m}(j) / J_{nu-1}(j)| (Watson 9.6), which the power basis of R loses from m ~ 20.
 
     For rational orders this margin stays well away from zero (no common
     zeros exist there); it collapses only near the irrational crossing
@@ -340,5 +342,4 @@ def rational_order_margin(m: int, nu: float, K: int = 20) -> float:
     """
     pair = _pair(m, nu, 0.0)
     zs = zeros(pair.base, K).as_array()
-    vals = np.abs(np.asarray([pair.poly(z) for z in zs]))
-    return float(vals.min())
+    return float(np.abs(_special.value_fn(pair.shifted)(zs) / _special.jv(nu - 1.0, zs)).min())

@@ -224,6 +224,7 @@ def root_positions(n: int, nu: float, kind: PolyKind = PolyKind.PLAIN) -> np.nda
     """
     if n < 2:
         return np.empty(0)
+    nu = float(nu)  # a numpy scalar would make the polish warn where its products overflow
     k = nu + np.arange(n - 1.0)
     off = 0.5 / (np.sqrt(k) * np.sqrt(k + 1.0))
     if kind is PolyKind.ASSOCIATED:

@@ -7,9 +7,10 @@ steps and a Newton polish with the analytic derivative, in two stages.  Stage on
 replays by arithmetic the bisection steps whose direction a secant estimate of the
 root makes certain, and certifies them by signs; its interval provably holds the
 final zero.  Stage two evaluates only where the outcome is not known yet, and the
-zeros are bit for bit those of evaluating every step.  `zero_table` scans each
-order of a grid on its own and refines all the brackets together, with the bits of
-a one-order call; a caller may stop a row after stage one (`_zero_stages`).
+zeros are bit for bit those of evaluating every step.  `zero_table` scans all orders
+of a grid in one vectorized pass, each on its own grid, and refines the brackets
+together from f at their ends as the scan left it, with the bits of a one-order call;
+a caller may stop after stage one and finish only the zeros it reads (`_zero_stages`).
 Large-index runs of J_nu zeros switch to asymptotic initial guesses, verified by
 sign changes and residuals.
 
@@ -64,46 +65,6 @@ class OrderDerivative:
     spread: float
 
 
-def _scan_brackets(f, x0: float, count: int, step: float, x_limit: float):
-    """Bracket the first `count` sign changes of f on (x0, x_limit].
-
-    The scan marches in batches over the grid x + step * (1..256).  Within a
-    batch it evaluates only a prefix of that grid: first 2 * remaining + 8
-    points, then a slice twice as long each time, until the batch is used up
-    or enough sign changes are found; the next batch restarts at the batch's
-    last grid point.  The grid, and so every bracket, is the same as a scan
-    of whole batches would give, because the evaluators act elementwise.
-    """
-    brackets = []
-    x = x0
-    fx = float(f(np.asarray([x]))[0])
-    batch = 256
-    while len(brackets) < count:
-        if x > x_limit:
-            raise ConvergenceError(
-                f"found only {len(brackets)}/{count} sign changes scanning up to x={x:.6g}"
-            )
-        grid = x + step * np.arange(1, batch + 1)
-        done = 0
-        width = 2 * (count - len(brackets)) + 8
-        while done < batch and len(brackets) < count:
-            vals = np.asarray(f(grid[done : done + width]), dtype=float)
-            seq = np.concatenate(([fx], vals))
-            if not np.isfinite(seq).all():
-                raise ConvergenceError(f"non-finite function value near x={x:.6g}")
-            flips = np.nonzero((seq[:-1] == 0.0) | (np.sign(seq[:-1]) != np.sign(seq[1:])))[0]
-            for i in flips:
-                a = x + step * (done + i)
-                brackets.append((a, a + step))
-                if len(brackets) == count:
-                    break
-            done += vals.size
-            fx = float(vals[-1])
-            width *= 2
-        x = float(grid[-1])
-    return brackets
-
-
 _SECANT_STEPS = 8  # secant steps that estimate each root; with none the estimate is b0
 _REPLAY_MARGIN = 1e-12  # relative distance from the estimate beyond which a step is certain
 
@@ -112,11 +73,13 @@ def _margin(x):
     return _REPLAY_MARGIN * np.maximum(1.0, np.abs(x))
 
 
-def _bracket_zeros(value, orders, brackets):
-    """Stage one of refining bracket i to a zero of `value` at the order `orders[i]`: the state
-    (a, b, fa, fb, steps) from which stage two (`_finish_zeros`) bisects on at step
-    `steps[i]`.  [a, b] holds the zero stage two returns: the later bisection only
-    shrinks it, and the Newton polish is clipped to the final [a, b].
+def _bracket_zeros(value, orders, a, b, fa, fb):
+    """Stage one of refining bracket [a[i], b[i]] to a zero of `value` at the order `orders[i]`,
+    given f at its ends (the scan's values; f(b) is evaluated where fb is NaN): the state
+    (a, b, fa, fb, steps), with a and b moved in place, from which stage two
+    (`_finish_zeros`) bisects on at step `steps[i]`.  [a, b] holds the zero stage two
+    returns: the later bisection only shrinks it, and the Newton polish is clipped to the
+    final [a, b].
 
     Only evaluations whose outcome is known are left out.  Secant steps, clipped to
     the bracket and stopped once a step is within the margin, estimate each root r.
@@ -129,14 +92,11 @@ def _bracket_zeros(value, orders, brackets):
     closer to it than the margin.  A bracket whose replay fails is bisected in full
     from its ends.
     """
-    a = np.asarray([b[0] for b in brackets], dtype=float)
-    b = np.asarray([b[1] for b in brackets], dtype=float)
     n = a.size
     every = np.arange(n)
     f = lambda rows, x: value(orders[rows], x)
-
-    ends = f(np.concatenate([every, every]), np.concatenate([a, b]))
-    fa0, fb0 = ends[:n], ends[n:]
+    fa0, fb0, unknown = fa, fb.copy(), every[np.isnan(fb)]
+    fb0[unknown] = f(unknown, b[unknown])
 
     # the secant estimate r of each root, from the two latest iterates (r, fr), (q, fq)
     q, fq, r, fr = a.copy(), fa0.copy(), b.copy(), fb0.copy()
@@ -247,18 +207,6 @@ def _newton(f, fp, x, count: int, step):
     return x, fx, dx
 
 
-def _scan_start(fid: FunctionId) -> float:
-    if fid.kind in (Kind.BESSEL_J, Kind.BESSEL_J_PRIME):
-        return max(1e-3, fid.order)
-    # double x from 1e-3 up to the order while Y_nu overflows: |sin(alpha) Y_nu| is
-    # infinite below that point, so C_nu has one sign there and no zero is skipped
-    x, f = 1e-3, _special.value_fn(fid)
-    with np.errstate(over="ignore", invalid="ignore"):  # at alpha = 0, 0 * inf is nan
-        while x < fid.order and not np.isfinite(f(x)):
-            x = min(2.0 * x, fid.order)
-    return x
-
-
 def _validate_run(f, xs: np.ndarray) -> None:
     """Confirm a refined run of zeros is sound: ordered, well separated, and
     f alternates sign at the gap midpoints (so no zero was merged or skipped); 2-D: by row."""
@@ -301,7 +249,7 @@ def zeros(fid: FunctionId, K: int, tolerance: float = ZERO_TOL) -> ZeroList:
     xs = None
     head_n = max(12, int(math.ceil(max(fid.order, 0.0))) + 4)
     if fid.kind is Kind.BESSEL_J and K > max(_BULK_SWITCH, head_n):
-        head, head_res = _scan([fid], head_n)[2]([0], tolerance)
+        head, head_res = _scan([fid], head_n)[2](None, tolerance)
         ks = np.arange(head_n + 1, K + 1, dtype=float)
         tail, tail_f, tail_fp = _newton(
             lambda _, x: f(x), lambda _, x: fp(x), _mcmahon_j(fid.order, ks), 4,
@@ -318,7 +266,7 @@ def zeros(fid: FunctionId, K: int, tolerance: float = ZERO_TOL) -> ZeroList:
         except ConvergenceError:
             xs = None
     if xs is None:
-        rows, res = _scan([fid], K)[2]([0], tolerance)
+        rows, res = _scan([fid], K)[2](None, tolerance)
         xs, res = rows[0], res[0]
         method = "scan + bisection/Newton"
 
@@ -333,55 +281,126 @@ def zeros(fid: FunctionId, K: int, tolerance: float = ZERO_TOL) -> ZeroList:
 
 def zero_table(fids, K: int) -> np.ndarray:
     """`zeros(fid, K).zeros` for each fid of a sequence, bit for bit, as rows (both stages)."""
-    return _zero_stages(fids, K)[2](range(len(fids)))
+    return _zero_stages(fids, K)[2]()
 
 
 def _zero_stages(fids, K: int):
     """Stage one of `zero_table(fids, K)`, validated on interval midpoints: (lo, hi, finish).
-    Zero k of row i lies in [lo[i, k], hi[i, k]]; `finish(rows)` (stage two) returns those
-    rows.  J_nu rows of over `_BULK_SWITCH` zeros come exact from `zeros()`."""
+    Zero k of row i lies in [lo[i, k], hi[i, k]]; `finish(cells)` (stage two) returns the
+    zeros of the flat cells i * K + k, and `finish()` the whole table, validated.  J_nu
+    rows of over `_BULK_SWITCH` zeros come exact from `zeros()`."""
     for fid in fids:
         _check_domain(fid, K)
     if len({(fid.kind, fid.alpha) for fid in fids}) > 1:
         raise DomainError("zero_table requires one kind and one alpha")
     if K == 0 or not fids or (fids[0].kind is Kind.BESSEL_J and K > _BULK_SWITCH):
         table = np.array([zeros(fid, K).zeros for fid in fids]).reshape(len(fids), K)
-        return table, table, lambda rows: table[list(rows)]
+        return table, table, lambda cells=None: table if cells is None else table.ravel()[cells]
     lo, hi, finish = _scan(fids, K)
     value = _special.evaluators(fids[0].kind, fids[0].alpha)[0]
     orders = np.array([fid.order for fid in fids])[:, None]
     _validate_run(lambda x: value(orders, x), (lo + hi) / 2)
-    return lo, hi, lambda rows: finish(rows, ZERO_TOL)[0]
+    return lo, hi, lambda cells=None: finish(cells, ZERO_TOL)[0]
+
+
+def _scan_start(value, kind: Kind, nus):
+    """Where the scan of each order starts, and f there: (x0, f0).  x0 is max(1e-3, nu) for J
+    and J'; for C, x doubles from 1e-3 up to nu while Y_nu overflows: |sin(alpha) Y_nu| is
+    infinite below that point, so C_nu has one sign there and no zero is skipped."""
+    x0, f0 = np.maximum(1e-3, nus), np.full(nus.size, np.nan)
+    if kind is Kind.CYLINDER:
+        x0, live = np.full(nus.size, 1e-3), np.arange(nus.size)
+        with np.errstate(over="ignore", invalid="ignore"):  # at alpha = 0, 0 * inf is nan
+            while live.size:
+                live = live[x0[live] < nus[live]]
+                f0[live] = value(nus[live], x0[live])
+                live = live[~np.isfinite(f0[live])]
+                x0[live] = np.minimum(2.0 * x0[live], nus[live])
+    live = np.flatnonzero(~np.isfinite(f0))  # not evaluated at x0 yet
+    f0[live] = value(nus[live], x0[live])
+    return x0, f0
+
+
+def _grid_scan(value, fids, K: int):
+    """The brackets of the first K zeros of each fid, scanned together, and f at their ends
+    (NaN where b is no grid point): (a, b, fa, fb), flat by row.  A row's grid marches from
+    `_scan_start` in batches x + pi/2 * (1..256), each starting at the last grid point of
+    the one before, and evaluates only a prefix of a batch: first 2 * remaining + 8 points,
+    then a slice twice as long each time; one call evaluates the slices of every row.
+    Halving x below the start brackets a first zero that lies there.  A row that fails is
+    a ConvergenceError, with the message of the first such row."""
+    nus, step, errors = np.array([fid.order for fid in fids], dtype=float), math.pi / 2.0, {}
+    x0, f0 = _scan_start(value, fids[0].kind, nus)
+    x, fx, f2x = x0.copy(), f0.copy(), f0.copy()
+    live = np.flatnonzero((nus >= _POSITIVE_NEAR_0.get(fids[0].kind, math.inf)) & (f0 < 0.0))
+    while live.size:  # the first zero lies below x0: f is negative at 2x and positive at x
+        for r in live[x[live] < 1e-300]:
+            errors[r] = f"{fids[r].label()} is negative down to x = {x[r]:.3g}"
+        live = live[x[live] >= 1e-300]
+        x[live] *= 0.5
+        f2x[live], fx[live] = fx[live], value(nus[live], x[live])
+        live = live[fx[live] < 0.0]
+    first = x < x0
+    a, b, fa, fb = (np.full(nus.size * K, np.nan) for _ in range(4))
+    cell = np.flatnonzero(first) * K
+    a[cell], b[cell], fa[cell], fb[cell] = x[first], 2.0 * x[first], fx[first], f2x[first]
+    count, (found, done), xb, prev = K - first, np.zeros((2, nus.size), int), x0, f0
+    width, limit = 2 * count + 8, x0 + (K + 20) * math.pi * 2.0 + 100.0
+    live = np.setdiff1d(np.flatnonzero(count > 0), list(errors))
+    while live.size:
+        over = live[(done[live] == 0) & (xb[live] > limit[live])]
+        for r in over:
+            errors[r] = f"found only {found[r]}/{count[r]} sign changes scanning up to x={xb[r]:.6g}"
+        live = np.setdiff1d(live, over)
+        w = np.minimum(width[live], 256 - done[live])
+        rows, start = np.repeat(live, w), np.cumsum(w) - w
+        j = np.arange(rows.size) - np.repeat(start, w) + done[rows]  # the grid point before
+        xs = xb[rows] + step * (j + 1)
+        vals = value(nus[rows], xs)
+        before = np.concatenate(([0.0], vals[:-1]))
+        before[start] = prev[live]
+        bad = np.unique(rows[~np.isfinite(before) | ~np.isfinite(vals)])
+        errors |= {r: f"non-finite function value near x={xb[r]:.6g}" for r in bad}
+        (i,) = np.nonzero(((before == 0.0) | (np.sign(before) != np.sign(vals))) & ~np.isin(rows, bad))
+        n = found[rows[i]] + np.arange(i.size) - np.searchsorted(rows[i], rows[i])
+        keep = n < count[rows[i]]  # the first `count` flips of a row
+        i, n = i[keep], n[keep]
+        r = rows[i]
+        cell = r * K + first[r] + n
+        a[cell] = xb[r] + step * j[i]
+        b[cell] = a[cell] + step
+        fa[cell], fb[cell] = before[i], np.where(b[cell] == xs[i], vals[i], np.nan)
+        found += np.bincount(r, minlength=nus.size)
+        done[live], prev[live], width[live] = done[live] + w, vals[start + w - 1], 2 * width[live]
+        turn = live[done[live] == 256]
+        xb[turn], done[turn], width[turn] = xb[turn] + step * 256, 0, 2 * (count - found)[turn] + 8
+        live = live[(found[live] < count[live]) & ~np.isin(live, bad)]
+    if errors:
+        raise ConvergenceError(errors[min(errors)])
+    return a, b, fa, fb
 
 
 def _scan(fids, K: int):
-    """Stage one of the first K zeros of each fid, scanned alone: (a, b, finish), where
-    `finish(rows, tolerance)` is stage two; a pass holds at most `_BATCH_BRACKETS` brackets."""
-    brackets = []
-    for fid in fids:
-        f, x = _special.value_fn(fid), _scan_start(fid)
-        x0, limit = x, x + (K + 20) * math.pi * 2.0 + 100.0
-        while fid.order >= _POSITIVE_NEAR_0.get(fid.kind, math.inf) and f(x) < 0.0:
-            if x < 1e-300:
-                raise ConvergenceError(f"{fid.label()} is negative down to x = {x:.3g}")
-            x *= 0.5  # the first zero lies below x0: f is negative at 2x and positive at x
-        first = [(x, 2.0 * x)] if x < x0 else []
-        brackets += first + _scan_brackets(f, x0, K - len(first), math.pi / 2.0, limit)
+    """Stage one of the first K zeros of each fid: (a, b, finish), where `finish(cells,
+    tolerance)` is stage two of the flat cells row * K + k, returned flat as (zeros,
+    residuals); `cells=None` finishes every row and validates them (`_validate_run`).
+    A pass holds at most `_BATCH_BRACKETS` brackets."""
     value, derivative = _special.evaluators(fids[0].kind, fids[0].alpha)
-    nus = np.array([fid.order for fid in fids])
+    nus = np.array([fid.order for fid in fids], dtype=float)
     orders = np.repeat(nus, K)
     n = max(1, _BATCH_BRACKETS // K)  # rows per pass
-    parts = [_bracket_zeros(value, orders[i : i + n * K], brackets[i : i + n * K])
-             for i in range(0, len(brackets), n * K)]
+    parts = [_bracket_zeros(value, orders[i * K : (i + n) * K], *_grid_scan(value, fids[i : i + n], K))
+             for i in range(0, len(fids), n)]
     state = [np.concatenate(v) for v in zip(*parts)]
 
-    def finish(rows, tolerance):
-        rows, parts = np.asarray(rows, dtype=int), []
-        for i in range(0, rows.size, n):
-            idx = (rows[i : i + n, None] * K + np.arange(K)).ravel()
-            parts.append(_finish_zeros(value, derivative, orders[idx], [v[idx] for v in state], tolerance))
-        xs, res = (np.concatenate(v).reshape(-1, K) for v in zip(*parts))
-        _validate_run(lambda x: value(nus[rows, None], x), xs)
+    def finish(cells, tolerance):
+        every = np.arange(orders.size) if cells is None else np.asarray(cells, dtype=int)
+        parts = [_finish_zeros(value, derivative, orders[c], [v[c] for v in state], tolerance)
+                 for c in (every[i : i + _BATCH_BRACKETS] for i in range(0, every.size, _BATCH_BRACKETS))]
+        xs, res = (np.concatenate(v) for v in zip(*parts))
+        if cells is None:
+            xs, res = xs.reshape(-1, K), res.reshape(-1, K)
+            _validate_run(lambda x: value(nus[:, None], x), xs)
         return xs, res
 
     return state[0].reshape(-1, K), state[1].reshape(-1, K), finish

@@ -129,6 +129,28 @@ def reference_scan_brackets(f, x0, count, step, x_limit):
     return brackets
 
 
+def reference_scan_start(fid):
+    if fid.kind in (Kind.BESSEL_J, Kind.BESSEL_J_PRIME):
+        return max(1e-3, fid.order)
+    x, f = 1e-3, S.value_fn(fid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while x < fid.order and not np.isfinite(f(x)):
+            x = min(2.0 * x, fid.order)
+    return x
+
+
+def reference_scan(fid, K):
+    """The brackets of the first K zeros of one fid, halving below the scan start."""
+    f, x = S.value_fn(fid), reference_scan_start(fid)
+    x0, limit = x, x + (K + 20) * math.pi * 2.0 + 100.0
+    while fid.order >= Z._POSITIVE_NEAR_0.get(fid.kind, math.inf) and f(x) < 0.0:
+        if x < 1e-300:
+            raise Z.ConvergenceError(f"{fid.label()} is negative down to x = {x:.3g}")
+        x *= 0.5
+    first = [(x, 2.0 * x)] if x < x0 else []
+    return first + reference_scan_brackets(f, x0, K - len(first), math.pi / 2.0, limit)
+
+
 def _root_cases():
     rng = random.Random(20231020)
     cases = []
@@ -211,38 +233,60 @@ def _scan_functions():
             yield fid, rng.randint(1, 200)
 
 
+def _grid_scan_cases():
+    # one row each, then many rows of one kind and alpha; the C rows with alpha = 3.1 and
+    # the J row at -0.9999999 have a first zero below 1e-3, and the C rows above order
+    # ~62 start their scan above 1e-3
+    rows = [([fid], count) for fid, _ in _scan_functions() for count in (1, 2, 5, 60, 127, 128, 129, 200)]
+    rng = random.Random(5)
+    for kind, alpha in ((Kind.BESSEL_J, None), (Kind.BESSEL_J_PRIME, None), (Kind.CYLINDER, 3.1),
+                        (Kind.CYLINDER, 0.7)):
+        nus = [0.05, 1e-8, 70.0, 3.0] + [rng.uniform(0.0, 80.0) for _ in range(20)]
+        if kind is Kind.BESSEL_J:
+            nus[0] = -0.9999999
+        fids = [FunctionId(kind, nu, alpha=alpha) for nu in nus]
+        rows += [(fids, count) for count in (1, 9, 127, 128, 129, 200)]
+    return rows
+
+
 def test_scan_brackets_match_reference_bitwise():
-    step = math.pi / 2.0
-    for fid, _ in _scan_functions():
-        f = S.value_fn(fid)
-        x0 = Z._scan_start(fid)
-        for count in (1, 2, 5, 60, 127, 128, 129, 200):
-            limit = x0 + (count + 20) * math.pi * 2.0 + 100.0
-            got = Z._scan_brackets(f, x0, count, step, limit)
-            want = reference_scan_brackets(f, x0, count, step, limit)
-            assert len(got) == len(want) == count
-            assert _hex(np.ravel(got)) == _hex(np.ravel(want)), (fid, count)
+    # the grid scan brackets every row as the per-order reference scan does, and gives f
+    # at both ends of a bracket where it has them, NaN elsewhere; a bracket from 1e-3
+    # halving is (x, 2x)
+    firsts, known_ends, brackets = 0, 0, 0
+    for fids, count in _grid_scan_cases():
+        value = S.evaluators(fids[0].kind, fids[0].alpha)[0]
+        a, b, fa, fb = Z._grid_scan(value, fids, count)
+        want = [bracket for fid in fids for bracket in reference_scan(fid, count)]
+        assert _hex(a) == _hex([x for x, _ in want]), (fids, count)
+        assert _hex(b) == _hex([x for _, x in want]), (fids, count)
+        orders = np.repeat([fid.order for fid in fids], count)
+        known = ~np.isnan(fb)
+        assert _hex(fa) == _hex(value(orders, a)), (fids, count)
+        assert _hex(fb[known]) == _hex(value(orders[known], b[known])), (fids, count)
+        firsts += sum(x < 1e-3 for x, _ in want[::count])
+        known_ends, brackets = known_ends + known.sum(), brackets + known.size
+    assert firsts >= 20
+    assert known_ends > 0.6 * brackets  # f(b) is reused from the scan
 
 
 def test_scan_brackets_limit_error_matches_reference():
-    f = S.value_fn(FunctionId(Kind.BESSEL_J, 3.0))
-    messages = []
-    for scan in (Z._scan_brackets, reference_scan_brackets):
+    # rows with too few sign changes up to their limit fail with the reference's message,
+    # and several failing rows with the message of the first
+    value = lambda nu, x: np.where(x < nu, np.cos(x), 1.0)
+    for nus in ([20.0], [100.0, 20.0, 10.0], [10.0, 20.0]):
+        fids = [FunctionId(Kind.CYLINDER, nu, alpha=1.0) for nu in nus]
         with pytest.raises(Z.ConvergenceError, match="found only") as exc:
-            scan(f, 3.0, 300, math.pi / 2.0, 10.0)
-        messages.append(str(exc.value))
-    assert messages[0] == messages[1]
+            Z._grid_scan(value, fids, 20)
+        nu = next(nu for nu in nus if nu < 60.0)
+        limit = 1e-3 + 40 * math.pi * 2.0 + 100.0
+        with pytest.raises(Z.ConvergenceError) as ref:
+            reference_scan_brackets(lambda x: value(nu, x), 1e-3, 20, math.pi / 2.0, limit)
+        assert str(exc.value) == str(ref.value), nus
 
 
-def test_zeros_match_reference_scan_bitwise(monkeypatch):
-    cases = list(_scan_functions())
-    got = [Z.zeros(fid, K) for fid, K in cases]
-    monkeypatch.setattr(Z, "_scan_brackets", reference_scan_brackets)
-    want = [Z.zeros(fid, K) for fid, K in cases]
-    for (fid, K), g, w in zip(cases, got, want):
-        assert _hex(g.zeros) == _hex(w.zeros), (fid, K)
-        assert _hex(g.residuals) == _hex(w.residuals), (fid, K)
-        assert g.method == w.method
+def test_zeros_match_reference_scan_bitwise():
+    _assert_matches_reference(_scan_functions())
 
 
 def reference_refine_brackets(f, fp, brackets, tolerance: float):
@@ -274,11 +318,7 @@ def reference_refine_brackets(f, fp, brackets, tolerance: float):
 
 
 def reference_scan_and_refine(fids, K: int, tolerance: float):
-    brackets = []
-    for fid in fids:
-        x0 = Z._scan_start(fid)
-        limit = x0 + (K + 20) * math.pi * 2.0 + 100.0
-        brackets += Z._scan_brackets(S.value_fn(fid), x0, K, math.pi / 2.0, limit)
+    brackets = [bracket for fid in fids for bracket in reference_scan(fid, K)]
     col = FunctionId(fids[0].kind, np.repeat([fid.order for fid in fids], K), fids[0].alpha)
     xs, res = reference_refine_brackets(S.value_fn(col), S.derivative_fn(col), brackets, tolerance)
     xs, res = xs.reshape(len(fids), K), res.reshape(len(fids), K)

@@ -195,6 +195,16 @@ def test_rational_orders_keep_margin():
     assert worst > 1e-5
 
 
+@pytest.mark.parametrize("m, nu", [(20, 1 / 3), (40, 1 / 3), (60, 5 / 3)])
+def test_rational_order_margin_matches_mpmath_at_large_gaps(m, nu):
+    # |R_{m-1,nu+1}| at the same float zeros, as |J_{nu+m} / J_{nu-1}| in 120 digits; the
+    # power basis of R gave 1.7e-6, 2.4e-4 and 4.1e-3 here, against 5.6e-16, 2.4e-42, 2.8e-62
+    zs = [mp.mpf(z) for z in bl.zeros(bl.FunctionId(bl.Kind.BESSEL_J, nu), 20).zeros]
+    with mp.workdps(120):
+        want = min(abs(mp.besselj(mp.mpf(nu) + m, z) / mp.besselj(mp.mpf(nu) - 1, z)) for z in zs)
+        assert abs(bl.rational_order_margin(m, nu, 20) - want) <= 1e-12 * want
+
+
 def test_solution_serialization():
     s = bl.solve_nu_star(3, 1, 2, 3.0, 5.0)
     d = s.as_dict()

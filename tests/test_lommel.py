@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -298,3 +299,13 @@ def test_coefficients_refuse_non_finite_order(nu, kind):
     # a NaN order used to give NaN coefficients, a NaN root and a NaN residual
     with pytest.raises(DomainError, match="finite"):
         bl.lommel_coefficients(3, nu, kind)
+
+
+def test_numpy_scalar_order_warns_nothing_and_matches_a_float_bitwise():
+    # a numpy order made the polish's products overflow with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = root_positions(71, np.float64(0.01))
+    want = root_positions(71, 0.01)
+    assert len(got) == 35
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]

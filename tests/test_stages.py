@@ -43,14 +43,14 @@ def _undecided(monkeypatch):
     monkeypatch.setattr(C, "_zero_stages", unbounded)
 
 
-def _refined_rows(monkeypatch):
-    """Record the rows each `_table` of a query sends to stage two."""
+def _refined_cells(monkeypatch):
+    """Record the flat cells (order * k_max + k) each `_table` of a query sends to stage two."""
     seen = []
     table = C._table
 
     def recording(*args, **kwargs):
         base, g, refine, roots, high = table(*args, **kwargs)
-        return base, g, lambda rows: seen.extend(rows) or refine(rows), roots, high
+        return base, g, lambda cells: seen.extend(cells) or refine(cells), roots, high
 
     monkeypatch.setattr(C, "_table", recording)
     return seen
@@ -100,35 +100,93 @@ def test_staged_answers_match_full_refinement_bitwise(monkeypatch):
 
 
 def test_undecided_signs_refine_every_row(monkeypatch):
-    seen = _refined_rows(monkeypatch)
+    seen = _refined_cells(monkeypatch)
     _undecided(monkeypatch)
     bl.scan_nu_star(4, 3, 12.0, nu_min=8.0)
-    assert sorted(seen) == list(range(33))
+    assert sorted(seen) == list(range(33 * 3))  # every cell, once
 
 
 def test_window_without_crossing_refines_few_orders(monkeypatch):
-    seen = _refined_rows(monkeypatch)
+    seen = _refined_cells(monkeypatch)
     assert bl.scan_nu_star(4, 3, 12.0, nu_min=8.0) == []
-    assert len(seen) <= 3
+    assert len({i // 3 for i in seen}) <= 3
+    assert seen == []  # every sign is decided, and none changes
 
 
 def test_crossing_refines_the_orders_that_bound_it(monkeypatch):
-    seen = _refined_rows(monkeypatch)
+    seen = _refined_cells(monkeypatch)
     (sol,) = bl.scan_nu_star(5, 6, 7.0, nu_min=5.0)
     lo, hi = sol.bracket
-    assert {lo, hi} <= {5.0 + 0.125 * i for i in seen}
-    assert len(seen) < 17
+    orders = {5.0 + 0.125 * (i // 6) for i in seen}
+    assert {lo, hi} <= orders
+    assert len(orders) < 17
+    # only the two cells that bound the change, at the solution's zero index
+    assert sorted(seen) == [6 * round((nu - 5.0) / 0.125) + sol.k - 1 for nu in (lo, hi)]
+
+
+def _work(monkeypatch):
+    """Count the calls that the grid scan makes of its `special` evaluator, and the zeros
+    that stage two finishes."""
+    work = {"scan_calls": 0, "finished": 0}
+    grid_scan, finish = Z._grid_scan, Z._finish_zeros
+
+    def scan(value, fids, K):
+        def counted(nu, x):
+            work["scan_calls"] += 1
+            return value(nu, x)
+
+        return grid_scan(counted, fids, K)
+
+    def finished(value, derivative, orders, state, tolerance):
+        work["finished"] += orders.size
+        return finish(value, derivative, orders, state, tolerance)
+
+    monkeypatch.setattr(Z, "_grid_scan", scan)
+    monkeypatch.setattr(Z, "_finish_zeros", finished)
+    return work
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7])
+def test_scan_calls_do_not_grow_with_the_orders(monkeypatch, alpha):
+    # one window, at steps 0.5 and 0.125: the scan calls are those of the slowest order
+    work = _work(monkeypatch)
+    C._table(4, [8.0 + 0.5 * i for i in range(9)], 3, alpha)
+    nine = work["scan_calls"]
+    C._table(4, [8.0 + 0.125 * i for i in range(33)], 3, alpha)
+    assert 0 < work["scan_calls"] - nine <= nine
+
+
+def test_a_brent_step_finishes_one_zero(monkeypatch):
+    work, steps = _work(monkeypatch), []
+    distance = C._distance
+
+    def step(*args):
+        before = work["finished"]
+        d = distance(*args)
+        steps.append(work["finished"] - before)
+        return d
+
+    monkeypatch.setattr(C, "_distance", step)
+    bl.scan_nu_star(5, 6, 7.0, nu_min=5.0)
+    assert len(steps) > 3 and set(steps) == {1}
+    assert work["finished"] == 2 + len(steps)  # the two cells of the sign change, one per step
+
+
+def test_window_without_crossing_finishes_no_zero(monkeypatch):
+    work = _work(monkeypatch)
+    assert bl.scan_nu_star(4, 3, 12.0, nu_min=8.0) == []
+    assert work["finished"] == 0
 
 
 def _synthetic(base, g, exact, roots):
-    """A `_table` of exact and interval rows: `refine` records its rows and sets them to
-    `exact[i]` (a zero and its shifted sign), and `roots(i)` is `roots[i]`."""
+    """A `_table` of exact and interval cells: `refine` records its flat cells and sets cell
+    c to `exact[c]` (a zero and its shifted sign), and `roots(i)` is `roots[i]`."""
     base, g, refined = np.array(base), np.array(g), []
 
-    def refine(rows):
-        refined.extend(rows)
-        for i in rows:
-            base[i], g[i] = exact[i]
+    def refine(cells):
+        refined.extend(cells)
+        for c in cells:
+            base.reshape(-1, 2)[c], g.reshape(-1, 2)[c] = exact[c]
 
     return (base, g, refine, roots.__getitem__, None), refined
 
@@ -188,7 +246,7 @@ def test_table_values_lie_in_their_stage_one_intervals(m, nu, alpha):
     nus = [nu + 0.125 * i for i in range(9)]
     base, _, refine, _, _ = C._table(m, nus, 5, alpha)
     interval = base.copy()
-    refine(range(len(nus)))
+    refine()
     assert (base[..., 0] == base[..., 1]).all()
     assert ((interval[..., 0] <= base[..., 0]) & (base[..., 0] <= interval[..., 1])).all()
 
@@ -199,7 +257,7 @@ def test_decided_signs_are_the_signs_at_the_zeros(m, nu, alpha):
     _, g, refine, _, _ = C._table(m, nus, 5, alpha)
     decided = (g[..., 0] == g[..., 1]) & (g[..., 0] != 0.0)
     ends = g[..., 0].copy()
-    refine(range(len(nus)))
+    refine()
     assert decided.mean() > 0.9
     assert (g[..., 0] == g[..., 1]).all()
     assert (g[..., 0][decided] == ends[decided]).all()
@@ -234,7 +292,7 @@ def _zero_cases():
 @pytest.mark.parametrize("fids, K", list(_zero_cases()))
 def test_zeros_lie_in_their_stage_one_intervals(fids, K):
     lo, hi, finish = Z._zero_stages(fids, K)
-    table = finish(range(len(fids)))
+    table = finish()
     assert ((lo <= table) & (table <= hi)).all()
     assert (lo < hi).all()  # no row is exact before stage two
     assert [row.tobytes() for row in table] == [row.tobytes() for row in Z.zero_table(fids, K)]

@@ -234,9 +234,11 @@ def test_cylinder_zeros_of_high_order_match_mpmath(nu, alpha):
 
 
 def test_cylinder_scan_starts_at_1e3_where_finite():
-    assert ZEROS._scan_start(bl.FunctionId(bl.Kind.CYLINDER, 50.0, alpha=1.0)) == 1e-3
-    start = ZEROS._scan_start(bl.FunctionId(bl.Kind.CYLINDER, 70.0, alpha=1.0))
-    assert 1e-3 < start <= 70.0
+    value = bl.special.evaluators(bl.Kind.CYLINDER, 1.0)[0]
+    (start_50, start_70), f = ZEROS._scan_start(value, bl.Kind.CYLINDER, np.array([50.0, 70.0]))
+    assert start_50 == 1e-3
+    assert 1e-3 < start_70 <= 70.0
+    assert np.isfinite(f).all() and (f == value(np.array([50.0, 70.0]), [start_50, start_70])).all()
 
 
 
