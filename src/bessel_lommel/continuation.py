@@ -27,7 +27,7 @@ import numpy as np
 from . import special as _special
 from .interlace import Family, Pair
 from .special import DomainError
-from .zeros import ConvergenceError, _zero_stages, zero_table, zeros
+from .zeros import ConvergenceError, _finish_in_place, _zero_stages, zero_table, zeros
 
 
 class BracketError(ValueError):
@@ -227,9 +227,7 @@ def _table(m: int, nus, k_max: int, alpha: float, shifted: bool = False):
     orders = np.asarray(nus, dtype=float) + m  # bit for bit the pairs' shifted orders
 
     def refine(cells=None):
-        z = finish(cells).ravel()
-        cells = np.arange(z.size) if cells is None else np.asarray(cells)
-        base.reshape(-1, 2)[cells] = z[:, None]
+        cells, z = _finish_in_place(base, finish, cells)
         g.reshape(-1, 2)[cells] = np.sign(value(orders[cells // k_max], z))[:, None]
 
     g[:] = np.sign(value(orders[:, None, None], base))

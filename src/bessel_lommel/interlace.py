@@ -12,7 +12,9 @@ the compensating Lommel-type polynomial:
 Common zeros (points where the base function vanishes together with the
 higher-order one, equivalently where the polynomial vanishes at a base zero)
 are removed from the base sequence and appear exactly once in the merged one;
-the strict alternation base < merged < base < ... is then verified.
+the strict alternation base < merged < base < ... is then verified, on certified
+stage-one intervals: only zeros they cannot order, that `Pair.clears` cannot clear
+or that the report prints are finished; no other zero is finished or residual-checked.
 
 The module also evaluates the Wronskians W[J_nu, R_{m-1,nu+1} J_{nu+m}] and
 W[J'_nu, R*_{m,nu} J_{nu+m}] both from analytic derivatives and from their
@@ -32,7 +34,7 @@ import numpy as np
 from . import lommel as _lommel
 from . import special as _special
 from .special import DomainError, FunctionId, Kind
-from .zeros import zeros
+from .zeros import _finish_in_place, _zero_stages, zeros
 
 
 class Family(enum.Enum):
@@ -117,6 +119,14 @@ class Pair:
                 "the tolerance is too loose"
             )
         return mask
+
+    def clears(self, box, tol: float = COMMON_TOL) -> np.ndarray:
+        """Which base-zero intervals, rows [lo, hi] of `box`, hold no zero that `common` takes: the
+        shifted function h has one nonzero sign and |h| >= 2 tol max(1, |h'(mid)|) at both ends."""
+        h = _special.value_fn(self.shifted)(box)
+        with np.errstate(invalid="ignore"):  # NaN (an unbounded interval's midpoint) clears nothing
+            dh = np.fmax(1.0, np.abs(_special.derivative_fn(self.shifted)(box.mean(axis=1))))
+            return (np.sign(h[:, 0]) * np.sign(h[:, 1]) > 0.0) & (np.abs(h).min(axis=1) >= 2.0 * tol * dh)
 
 
 class Source(enum.Enum):
@@ -226,21 +236,30 @@ def detect_common_zeros(
     return CommonZeroSet(family, m, nu, points, tol, alpha)
 
 
-def _merged(pair: Pair, K: int, common) -> MergedZeros:
-    """The first K shifted zeros and the roots; a common zero with a partner, the shifted
-    zero within 0.5 (zeros lie at least 1 apart), tags it and drops its nearest root."""
-    high = zeros(pair.shifted, K).as_array()
+def _stage_one(fid: FunctionId, K: int):
+    """The first K zeros of fid as certified intervals, rows [lo, hi], and their stage two."""
+    lo, hi, finish = _zero_stages([fid], K)
+    return np.stack([lo[0], hi[0]], axis=-1), finish
+
+
+def _merged(pair: Pair, high, finish, common):
+    """The shifted zeros, intervals `high` of stage two `finish`, merged with the roots: (box,
+    finish, sources) as `_report` takes a list.  A common zero with a partner, the shifted zero
+    within 0.5 (zeros lie at least 1 apart), tags it and drops its nearest root; partners are
+    read exact, and so is a shifted zero whose interval holds a root; an equal root follows it."""
     roots = pair.poly.roots()
-    sources = [Source.HIGHER_ORDER_ZERO] * high.size
+    inside = ((high[:, :1] <= roots) & (roots <= high[:, 1:])).any(axis=1) | (len(common) > 0)
+    _finish_in_place(high, finish, np.flatnonzero(inside))
+    sources = [Source.HIGHER_ORDER_ZERO] * len(high)
     for c in common:
-        partner = np.flatnonzero(np.abs(high - c) <= 0.5)
+        partner = np.flatnonzero(np.abs(high[:, 0] - c) <= 0.5)
         if partner.size:
             sources[partner[0]] = Source.COMMON_ZERO
             roots = np.delete(roots, np.argmin(np.abs(roots - c)))
-    tagged = [(float(x), src) for x, src in zip(high, sources)]
-    tagged += [(float(r), Source.LOMMEL_ROOT) for r in roots]
-    tagged.sort(key=lambda entry: entry[0])
-    return MergedZeros(pair.m, pair.nu, pair.family, tuple(tagged), pair.alpha)
+    sources += [Source.LOMMEL_ROOT] * roots.size
+    rows = np.argsort(np.concatenate([high[:, 0], roots]), kind="stable")
+    box = np.concatenate([high, np.stack([roots, roots], axis=-1)])[rows]
+    return box, lambda cells: finish(rows[cells]), [sources[r] for r in rows]
 
 
 def merged_sequence(
@@ -255,16 +274,23 @@ def merged_sequence(
     max_common base zeros, which hold every common zero among the shifted ones."""
     pair = Pair(family, m, nu, alpha)
     base = zeros(pair.base, K + pair.max_common).as_array()
-    return _merged(pair, K, base[pair.common(base)])
+    common, high = base[pair.common(base)], zeros(pair.shifted, K).as_array()
+    box, _, sources = _merged(pair, np.stack([high, high], axis=-1), None, common)
+    return MergedZeros(pair.m, pair.nu, pair.family, tuple(zip(box[:, 0].tolist(), sources)), pair.alpha)
 
 
 def _report(pair: Pair, pattern: str, lower, middle, common: tuple = ()) -> InterlaceReport:
-    """Check lower[i] < middle[i] < lower[i+1] as far as both lists reach."""
-    n_checks = min(lower.size - 1, middle.size)
-    violations = []
-    for i in range(n_checks):
-        if not (lower[i] < middle[i] < lower[i + 1]):
-            violations.append((i + 1, float(lower[i]), float(middle[i]), float(lower[i + 1])))
+    """Check lower[i] < middle[i] < lower[i+1] as far as both lists reach.  A list is (box,
+    finish): certified intervals [lo, hi] around its zeros, in order, and their stage two.
+    A triple that the intervals do not order is finished in place and compared exactly."""
+    (low, finish_low), (mid, finish_mid) = lower, middle
+    n_checks = min(len(low) - 1, len(mid))
+    n = max(n_checks, 0)
+    unsure = np.flatnonzero((low[:n, 1] >= mid[:n, 0]) | (mid[:n, 1] >= low[1 : n + 1, 0]))
+    _finish_in_place(low, finish_low, np.concatenate([unsure, unsure + 1]))
+    _finish_in_place(mid, finish_mid, unsure)
+    violations = [(i + 1, float(low[i, 0]), float(mid[i, 0]), float(low[i + 1, 0]))
+                  for i in unsure.tolist() if not (low[i, 0] < mid[i, 0] < low[i + 1, 0])]
     ok = not violations
     return InterlaceReport(
         family=pair.family,
@@ -288,8 +314,7 @@ def verify_plain_interlacing(
     pair = Pair(family, m, nu, alpha)
     if K < 3:
         raise DomainError("interlacing verification needs K >= 3")
-    base = zeros(pair.base, K).as_array()
-    return _report(pair, "plain", base, zeros(pair.shifted, K).as_array())
+    return _report(pair, "plain", _stage_one(pair.base, K), _stage_one(pair.shifted, K))
 
 
 def verify_generalized_interlacing(
@@ -302,18 +327,20 @@ def verify_generalized_interlacing(
 ) -> InterlaceReport:
     """Alternation of the base zeros (common zeros removed) with the merged set.
 
-    Finds each list once; `Pair.common` decides the common zeros for both lists.
+    Takes each list once, as stage-one intervals; `Pair.common` decides the base zeros that
+    `Pair.clears` does not clear, and only the zeros a verdict prints or cannot order are finished.
     """
     pair = Pair(family, m, nu, alpha)
     if K < 3:
         raise DomainError("interlacing verification needs K >= 3")
-    base = zeros(pair.base, K).as_array()
-    common = pair.common(base, tol)
-    merged = _merged(pair, K, base[common])
-    has_poly = any(src is not Source.HIGHER_ORDER_ZERO for _, src in merged.entries)
-    pattern = "generalized" if (has_poly or common.any()) else "classical"
-    skipped = tuple(float(c) for c in base[common])
-    return _report(pair, pattern, base[~common], merged.values(), skipped)
+    base, finish = _stage_one(pair.base, K)
+    common = ~pair.clears(base, tol)
+    _finish_in_place(base, finish, np.flatnonzero(common))
+    common[common] = pair.common(base[common, 0], tol)
+    middle = _merged(pair, *_stage_one(pair.shifted, K), base[common, 0])
+    pattern = "generalized" if common.any() or {*middle[2]} - {Source.HIGHER_ORDER_ZERO} else "classical"
+    lower = base[~common], lambda cells: finish(np.flatnonzero(~common)[cells])
+    return _report(pair, pattern, lower, middle[:2], tuple(base[common, 0].tolist()))
 
 
 def no_consecutive_common_zeros(

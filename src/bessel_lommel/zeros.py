@@ -303,6 +303,20 @@ def _zero_stages(fids, K: int):
     return lo, hi, lambda cells=None: finish(cells, ZERO_TOL)[0]
 
 
+def _finish_in_place(box, finish, cells=None):
+    """Stage two (`finish` of `_zero_stages`), in place, of the flat cells of `box`, a contiguous table
+    with [lo, hi] on its last axis: (cells, zeros) of each cell not yet exact, or (None) all, validated."""
+    flat = box.reshape(-1, 2)
+    if cells is None:
+        cells, z = np.arange(len(flat)), finish().ravel()
+    else:
+        cells = np.unique(np.asarray(cells, dtype=int))
+        cells = cells[flat[cells, 0] != flat[cells, 1]]
+        z = finish(cells) if cells.size else np.empty(0)
+    flat[cells] = z[:, None]
+    return cells, z
+
+
 def _scan_start(value, kind: Kind, nus):
     """Where the scan of each order starts, and f there: (x0, f0).  x0 is max(1e-3, nu) for J
     and J'; for C, x doubles from 1e-3 up to nu while Y_nu overflows: |sin(alpha) Y_nu| is
@@ -445,8 +459,8 @@ def dj_dnu(nu: float, k: int) -> OrderDerivative:
     """Order-derivative of the k-th positive zero of J_nu by three routes."""
     if nu <= 0.0 or k < 1:
         raise DomainError("dj_dnu requires nu > 0 and k >= 1")
-    orders = (nu, nu + 1e-4, nu - 1e-4)
-    j, up, down = zero_table([FunctionId(Kind.BESSEL_J, v) for v in orders], k)[:, k - 1].tolist()
+    fids = [FunctionId(Kind.BESSEL_J, v) for v in (nu, nu + 1e-4, nu - 1e-4)]
+    j, up, down = _zero_stages(fids, k)[2]([k - 1, 2 * k - 1, 3 * k - 1]).tolist()
     fd = (up - down) / 2e-4
     series = series_derivative(nu, j)
     watson = watson_derivative(nu, j)
@@ -459,6 +473,7 @@ def dj_dnu(nu: float, k: int) -> OrderDerivative:
 
 
 def cylinder_zero_monotonicity(alpha: float, nu_values, k: int) -> bool:
-    """Whether the k-th cylinder zero is strictly increasing along nu_values."""
-    cs = zero_table([FunctionId(Kind.CYLINDER, nu, alpha=alpha) for nu in nu_values], k)[:, k - 1]
+    """Whether the k-th cylinder zero, the only one finished, is strictly increasing along nu_values."""
+    fids = [FunctionId(Kind.CYLINDER, nu, alpha=alpha) for nu in nu_values]
+    cs = _zero_stages(fids, k)[2](np.arange(len(fids)) * k + k - 1)
     return bool((np.diff(cs) > 0.0).all())

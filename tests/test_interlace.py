@@ -108,12 +108,12 @@ def test_report_requires_enough_zeros():
 
 
 def test_generalized_verification_computes_each_list_once(monkeypatch):
-    # base zeros and shifted zeros are found once each, the polynomial roots
-    # are solved once, and detecting common zeros reuses the base zeros
+    # base zeros and shifted zeros take one stage-one pass each, the polynomial
+    # roots are solved once, and detecting common zeros reuses the base zeros
     import bessel_lommel.interlace as interlace_mod
     import bessel_lommel.lommel as lommel_mod
 
-    calls = {"zeros": 0, "roots": 0}
+    calls = {"stage_one": 0, "roots": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -122,11 +122,11 @@ def test_generalized_verification_computes_each_list_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(interlace_mod, "zeros", counted("zeros", interlace_mod.zeros))
+    monkeypatch.setattr(interlace_mod, "_zero_stages", counted("stage_one", interlace_mod._zero_stages))
     monkeypatch.setattr(lommel_mod, "root_positions", counted("roots", lommel_mod.root_positions))
     rep = bl.verify_generalized_interlacing(Family.BESSEL_J, 5, NU_STAR_M5, 20)
     assert rep.ok and len(rep.common_zeros) == 1
-    assert calls == {"zeros": 2, "roots": 1}
+    assert calls == {"stage_one": 2, "roots": 1}
 
 
 @pytest.mark.parametrize("K", [20, 40])
