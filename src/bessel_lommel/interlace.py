@@ -282,10 +282,13 @@ def merged_sequence(
 def _report(pair: Pair, pattern: str, lower, middle, common: tuple = ()) -> InterlaceReport:
     """Check lower[i] < middle[i] < lower[i+1] as far as both lists reach.  A list is (box,
     finish): certified intervals [lo, hi] around its zeros, in order, and their stage two.
-    A triple that the intervals do not order is finished in place and compared exactly."""
+    A triple that the intervals do not order is finished in place and compared exactly; a
+    verdict with no triple left to check is a RuntimeError, as `Pair.common`'s loose tolerance."""
     (low, finish_low), (mid, finish_mid) = lower, middle
-    n_checks = min(len(low) - 1, len(mid))
-    n = max(n_checks, 0)
+    n = min(len(low) - 1, len(mid))
+    if n < 1:
+        raise RuntimeError(f"no interlacing triple is left to check once {len(common)} base zeros "
+                           "are taken for common zeros; the tolerance is too loose")
     unsure = np.flatnonzero((low[:n, 1] >= mid[:n, 0]) | (mid[:n, 1] >= low[1 : n + 1, 0]))
     _finish_in_place(low, finish_low, np.concatenate([unsure, unsure + 1]))
     _finish_in_place(mid, finish_mid, unsure)
@@ -303,7 +306,7 @@ def _report(pair: Pair, pattern: str, lower, middle, common: tuple = ()) -> Inte
         violations=tuple(violations),
         common_zeros=common,
         alpha=pair.alpha,
-        checked=n_checks,
+        checked=n,
     )
 
 

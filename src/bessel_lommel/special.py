@@ -2,7 +2,8 @@
 
 Wraps the vetted backend routines (scipy.special) in raw vectorized
 evaluators (``jv``, ``jvp``, ``cyl``, ...; ``Y_nu`` as Im ``H1_nu``, bit for bit
-``scipy.special.yv``), which every algorithm calls.  Each
+``scipy.special.yv``; ``phase_step``, a root estimate from the phase of one
+Hankel call), which every algorithm calls.  Each
 contract function checks the domain, takes its value from one of them and
 returns an :class:`EvalResult` with a conservative absolute-error estimate,
 validated against an independent high-precision oracle on the fixture grid
@@ -129,6 +130,19 @@ def cyl(alpha, nu, x):
 
 def cylp(alpha, nu, x):
     return math.cos(alpha) * jvp(nu, x) - math.sin(alpha) * yvp(nu, x)
+
+
+def phase_step(alpha, nu, x, prime=False):
+    """One Newton step in log x towards a zero of f = cos(alpha) J_nu - sin(alpha) Y_nu, on the
+    phase of H1_nu = J_nu + i Y_nu (DLMF 10.18): f + i d = exp(i alpha) H1_nu is atan(f / d) in
+    phase short of the zero, and the phase grows by 2 / (pi (f^2 + d^2)) per unit of log x.
+    With `prime`, the phase of H1'_nu = (H1_{nu-1} - H1_{nu+1}) / 2 grows (1 - nu^2 / x^2) times as fast."""
+    x = np.asarray(x, dtype=float)
+    h = 0.5 * (_sp.hankel1(nu - 1.0, x) - _sp.hankel1(nu + 1.0, x)) if prime else _sp.hankel1(nu, x)
+    w = h * complex(math.cos(alpha), math.sin(alpha))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = np.arctan(w.real / w.imag) * (0.5 * math.pi) * (w.real**2 + w.imag**2)
+        return x * np.exp(t / (1.0 - (nu / x) ** 2) if prime else t)
 
 
 def jj_scaled(nu, x):
@@ -264,11 +278,12 @@ def evaluate(fid: FunctionId, x: float) -> EvalResult:
 
 
 def evaluators(kind: Kind, alpha: float | None = None):
-    """The vectorized pair (value(order, x), derivative(order, x)) of a kind; `alpha` is the
-    cylinder angle.  Every evaluation over a column of orders calls these."""
-    if kind is Kind.CYLINDER:
-        return (lambda nu, x: cyl(alpha, nu, x)), (lambda nu, x: cylp(alpha, nu, x))
-    return {Kind.BESSEL_J: (jv, jvp), Kind.BESSEL_Y: (yv, yvp), Kind.BESSEL_J_PRIME: (jvp, jvpp)}[kind]
+    """The vectorized (value, derivative, `phase_step` towards a zero) of a kind, each f(order, x);
+    `alpha` is the cylinder angle.  Every evaluation over a column of orders calls these."""
+    pairs = {Kind.BESSEL_J: (jv, jvp), Kind.BESSEL_Y: (yv, yvp), Kind.BESSEL_J_PRIME: (jvp, jvpp),
+             Kind.CYLINDER: ((lambda nu, x: cyl(alpha, nu, x)), (lambda nu, x: cylp(alpha, nu, x)))}
+    angle = {Kind.CYLINDER: alpha, Kind.BESSEL_Y: 0.5 * math.pi}.get(kind, 0.0)
+    return (*pairs[kind], lambda nu, x: phase_step(angle, nu, x, kind is Kind.BESSEL_J_PRIME))
 
 
 def value_fn(fid: FunctionId):

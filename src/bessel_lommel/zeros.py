@@ -4,13 +4,14 @@ Zeros are located by a vectorized scan-and-bisect: march from a starting absciss
 in half-pi steps until enough sign changes are bracketed (halving x below it
 brackets a first zero that lies there), then refine every bracket by 48 bisection
 steps and a Newton polish with the analytic derivative, in two stages.  Stage one
-replays by arithmetic the bisection steps whose direction a secant estimate of the
-root makes certain, and certifies them by signs; its interval provably holds the
-final zero.  Stage two evaluates only where the outcome is not known yet, and the
-zeros are bit for bit those of evaluating every step.  `zero_table` scans all orders
-of a grid in one vectorized pass, each on its own grid, and refines the brackets
-together from f at their ends as the scan left it, with the bits of a one-order call;
-a caller may stop after stage one and finish only the zeros it reads (`_zero_stages`).
+replays by arithmetic the bisection steps whose direction an estimate of the root
+(Newton steps on the phase of H1_nu) makes certain, and certifies them by signs; its
+interval provably holds the final zero.  Stage two evaluates only where the outcome
+is not known yet, and the zeros are bit for bit those of evaluating every step.
+`zero_table` scans all orders of a grid in one vectorized pass, each on its own
+grid, and refines the brackets together from f at their ends as the scan left it,
+with the bits of a one-order call; a caller may stop after stage one and finish
+only the zeros it reads (`_zero_stages`).
 Large-index runs of J_nu zeros switch to asymptotic initial guesses, verified by
 sign changes and residuals.
 
@@ -65,7 +66,7 @@ class OrderDerivative:
     spread: float
 
 
-_SECANT_STEPS = 8  # secant steps that estimate each root; with none the estimate is b0
+_PHASE_STEPS = 8  # phase steps that estimate each root; with none the estimate is the chord root
 _REPLAY_MARGIN = 1e-12  # relative distance from the estimate beyond which a step is certain
 
 
@@ -73,7 +74,7 @@ def _margin(x):
     return _REPLAY_MARGIN * np.maximum(1.0, np.abs(x))
 
 
-def _bracket_zeros(value, orders, a, b, fa, fb):
+def _bracket_zeros(value, orders, a, b, fa, fb, step):
     """Stage one of refining bracket [a[i], b[i]] to a zero of `value` at the order `orders[i]`,
     given f at its ends (the scan's values; f(b) is evaluated where fb is NaN): the state
     (a, b, fa, fb, steps), with a and b moved in place, from which stage two
@@ -81,16 +82,17 @@ def _bracket_zeros(value, orders, a, b, fa, fb):
     returns: the later bisection only shrinks it, and the Newton polish is clipped to the
     final [a, b].
 
-    Only evaluations whose outcome is known are left out.  Secant steps, clipped to
-    the bracket and stopped once a step is within the margin, estimate each root r.
-    A bisection step whose midpoint lies more than the margin `_REPLAY_MARGIN *
+    Only evaluations whose outcome is known are left out.  Each root r is estimated from
+    the chord root of the bracket by Newton steps on the Hankel phase (`step`, the third of
+    `special.evaluators`), clipped to the bracket and stopped once a step is within the
+    margin.  A bisection step whose midpoint lies more than the margin `_REPLAY_MARGIN *
     max(1, |r|)` from r goes the way r lies: it is replayed by arithmetic alone, up
     to the first step that is not so certain.  The replay is kept only if f at the
     interval it reached has the signs that the bisection rule keeps at its ends,
     fa * f(a) > 0 where a moved and fa * f(b) <= 0.  That certifies every replayed
     step, because a bracket holds one zero and the computed f changes sign only far
-    closer to it than the margin.  A bracket whose replay fails is bisected in full
-    from its ends.
+    closer to it than the margin; so the estimate decides the cost, never a bit of the
+    zero.  A bracket whose replay fails is bisected in full from its ends.
     """
     n = a.size
     every = np.arange(n)
@@ -98,18 +100,17 @@ def _bracket_zeros(value, orders, a, b, fa, fb):
     fa0, fb0, unknown = fa, fb.copy(), every[np.isnan(fb)]
     fb0[unknown] = f(unknown, b[unknown])
 
-    # the secant estimate r of each root, from the two latest iterates (r, fr), (q, fq)
-    q, fq, r, fr = a.copy(), fa0.copy(), b.copy(), fb0.copy()
-    live = every[fr != fq]
-    for _ in range(_SECANT_STEPS):
+    # the estimate r of each root, by phase steps from the chord root (NaN: no estimate)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.clip(b - fb0 * (b - a) / (fb0 - fa0), a, b)
+    live = every
+    for _ in range(_PHASE_STEPS):
         if not live.size:
             break
-        x = r[live] - fr[live] * (r[live] - q[live]) / (fr[live] - fq[live])
-        x = np.clip(x, a[live], b[live])
-        fx = f(live, x)
-        q[live], fq[live] = r[live], fr[live]
-        r[live], fr[live] = x, fx
-        live = live[(np.abs(x - q[live]) > _margin(x)) & (fx != 0.0) & (fx != fq[live])]
+        x = np.clip(step(orders[live], r[live]), a[live], b[live])
+        moved = np.abs(x - r[live]) > _margin(x)
+        r[live] = x
+        live = live[moved]
 
     # replay the bisection steps whose midpoint is far from r
     a0, b0 = a.copy(), b.copy()
@@ -399,11 +400,11 @@ def _scan(fids, K: int):
     tolerance)` is stage two of the flat cells row * K + k, returned flat as (zeros,
     residuals); `cells=None` finishes every row and validates them (`_validate_run`).
     A pass holds at most `_BATCH_BRACKETS` brackets."""
-    value, derivative = _special.evaluators(fids[0].kind, fids[0].alpha)
+    value, derivative, step = _special.evaluators(fids[0].kind, fids[0].alpha)
     nus = np.array([fid.order for fid in fids], dtype=float)
     orders = np.repeat(nus, K)
     n = max(1, _BATCH_BRACKETS // K)  # rows per pass
-    parts = [_bracket_zeros(value, orders[i * K : (i + n) * K], *_grid_scan(value, fids[i : i + n], K))
+    parts = [_bracket_zeros(value, orders[i * K : (i + n) * K], *_grid_scan(value, fids[i : i + n], K), step)
              for i in range(0, len(fids), n)]
     state = [np.concatenate(v) for v in zip(*parts)]
 
@@ -474,6 +475,8 @@ def dj_dnu(nu: float, k: int) -> OrderDerivative:
 
 def cylinder_zero_monotonicity(alpha: float, nu_values, k: int) -> bool:
     """Whether the k-th cylinder zero, the only one finished, is strictly increasing along nu_values."""
+    if k < 1:
+        raise DomainError("cylinder_zero_monotonicity requires k >= 1")
     fids = [FunctionId(Kind.CYLINDER, nu, alpha=alpha) for nu in nu_values]
     cs = _zero_stages(fids, k)[2](np.arange(len(fids)) * k + k - 1)
     return bool((np.diff(cs) > 0.0).all())

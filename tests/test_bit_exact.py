@@ -130,7 +130,7 @@ def reference_scan_brackets(f, x0, count, step, x_limit):
 
 
 def reference_scan_start(fid):
-    if fid.kind in (Kind.BESSEL_J, Kind.BESSEL_J_PRIME):
+    if fid.kind is not Kind.CYLINDER:
         return max(1e-3, fid.order)
     x, f = 1e-3, S.value_fn(fid)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -395,14 +395,59 @@ def test_mcmahon_tail_matches_reference_bitwise():
     _assert_matches_reference((FunctionId(Kind.BESSEL_J, nu), K) for nu, K in cases)
 
 
-@pytest.mark.parametrize("secant_steps", [0, 1])
-def test_replay_fall_back_matches_reference_bitwise(monkeypatch, secant_steps):
-    # with no secant step the estimate of each root is the bracket's right end, so
-    # every replay runs towards it, fails its check and is bisected in full; one
-    # step leaves estimates off to either side, so replays fail at either end
-    monkeypatch.setattr(Z, "_SECANT_STEPS", secant_steps)
+@pytest.mark.parametrize("phase_steps", [0, 1])
+def test_replay_fall_back_matches_reference_bitwise(monkeypatch, phase_steps):
+    # with no phase step the estimate of each root is the chord root of its bracket, and
+    # one step leaves estimates off to either side, so replays fail at either end and
+    # those brackets are bisected in full (steps == 0), which must happen here
+    monkeypatch.setattr(Z, "_PHASE_STEPS", phase_steps)
+    stage_one, fell_back = Z._bracket_zeros, []
+
+    def counted(*args):
+        state = stage_one(*args)
+        fell_back.append(int((state[4] == 0).sum()))
+        return state
+
+    monkeypatch.setattr(Z, "_bracket_zeros", counted)
     cases = list(_refine_cases())[::3] + [(FunctionId(Kind.BESSEL_J, 2.5), 300)]
     _assert_matches_reference(cases)
+    assert sum(fell_back) > 0, fell_back
+
+
+def _extreme_cases():
+    # each kind at the ends of its range: J from just above -1 (a first zero below 1e-3)
+    # to order 250, J' from order 1e-9 to 200, C at angles within 1e-12 of 0 and of pi, and Y
+    rng = random.Random(250)
+    fids = [FunctionId(Kind.BESSEL_J, nu) for nu in (-0.9999999, -0.999, 120.3, 250.0)]
+    fids += [FunctionId(Kind.BESSEL_J_PRIME, nu) for nu in (1e-9, 1e-4, 0.3, 200.0)]
+    fids += [FunctionId(Kind.CYLINDER, nu, alpha=alpha) for nu in (0.5, 40.0)
+             for alpha in (1e-12, 1e-6, math.pi - 1e-6, math.pi - 1e-12)]
+    fids += [FunctionId(Kind.BESSEL_Y, nu) for nu in (0.0, 61.5, 250.0)]
+    return [(fid, rng.randint(1, 39)) for fid in fids]
+
+
+# first zeros far below the chord root of their bracket (0.001, 1.5718...), which the phase
+# steps must reach for the replay to certify
+_FIRST_ZEROS = [
+    (FunctionId(Kind.CYLINDER, 2.0, alpha=3.0613559029121995), 1.04420547968097),
+    (FunctionId(Kind.CYLINDER, 0.09400955990431115, alpha=2.8608442700951664), 0.0307019460310087),
+]
+
+
+def test_phase_estimate_at_the_extremes_matches_reference_bitwise(monkeypatch):
+    _assert_matches_reference(_extreme_cases() + [(fid, 3) for fid, _ in _FIRST_ZEROS])
+    stage_one, steps = Z._bracket_zeros, []
+
+    def recorded(*args):
+        state = stage_one(*args)
+        steps.append(state[4])
+        return state
+
+    monkeypatch.setattr(Z, "_bracket_zeros", recorded)
+    for fid, zero in _FIRST_ZEROS:
+        steps.clear()
+        assert Z.zeros(fid, 3).zeros[0] == pytest.approx(zero, rel=1e-13), fid
+        assert steps[0][0] > 0, fid  # the replay certified, no full bisection
 
 
 def reference_common(pair, xs, tol=1e-8):

@@ -72,6 +72,17 @@ def test_json_round_trip_is_lossless(capsys):
     assert json.loads(json.dumps(doc)) == doc
 
 
+def test_interlace_with_every_base_zero_common_exits_1(capsys):
+    # a tolerance loose enough to take all three base zeros for common zeros used to
+    # leave no triple to check and still print "ok": true with "checked": -1
+    code, out, err = run_cli(
+        capsys, "interlace", "--family", "j", "--m", "20", "--nu", "3", "--k", "3", "--common-tol", "1e9"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("RuntimeError: ") and "the tolerance is too loose" in err
+
+
 def test_common_zero_bracket(capsys):
     code, out, _ = run_cli(capsys, "common-zero", "--m", "5", "--bracket", "5.619", "5.62")
     assert code == 0

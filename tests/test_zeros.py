@@ -146,6 +146,13 @@ def test_cylinder_zero_monotonicity():
     assert bl.cylinder_zero_monotonicity(0.0, [2.0], 1)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_cylinder_zero_monotonicity_refuses_index_below_one(k):
+    # k = 0 used to read the zero table at cell k - 1 and raise IndexError
+    with pytest.raises(DomainError, match="k >= 1"):
+        bl.cylinder_zero_monotonicity(0.5, [1.0, 2.0], k)
+
+
 def test_watson_derivative_matches_finite_difference():
     from bessel_lommel.zeros import watson_derivative
 
