@@ -1,19 +1,18 @@
 """Orders nu* at which J_nu and J_{nu+m} share a positive zero.
 
 At a zero z of J_nu, J_{nu+m}(z) = -R_{m-1,nu+1}(z) J_{nu-1}(z) (Watson 9.6), so a
-common zero appears exactly where g_k(nu) = J_{nu+m}(j_{nu,k}) changes sign, and
-there the distance d(nu) = rho_{m-1,nu,l} - j_{nu,k} of one root of R_{m-1,nu+1}
-changes sign too.  A scan, bracket or trace query tabulates its orders once
-(`_table`), as a certified interval around each zero and the signs of J_{nu+m} at
-its ends, which fix the sign of g where they agree.  Only the zeros (order, k) that
+common zero appears exactly where g_k(nu) = J_{nu+m}(j_{nu,k}) changes sign, and there
+the distance d(nu) = rho_{m-1,nu,l} - j_{nu,k} of one root of R_{m-1,nu+1} changes
+sign too.  A scan, bracket or trace query tabulates its orders once (`_table`), as
+certified intervals around the zeros (`zeros.Intervals`) and the signs of J_{nu+m} at
+their ends, which fix the sign of g where they agree.  Only the zeros (order, k) that
 bound a sign change of g, or whose sign is undecided, get exact values, and only the
 two orders of a sign change get Lommel roots: the one root whose d changes sign names
-the crossing, solved from those two values of d, each step of the solve finishing
-the one zero it reads.  Only `Pair.common` accepts the solution; a trace refines
-every order, whose zeros it prints.  Cylinder functions take C_nu and c_{nu,k} in
-place of J_nu and j_{nu,k}.  The crossing orders are irrational (no rational order
-can produce a common zero), which is reported as an annotation rather than asserted
-numerically.
+the crossing, solved from those two values of d, each step of the solve finishing the
+one zero it reads.  Only `Pair.common` accepts the solution; a trace refines every
+order, whose zeros it prints.  Cylinder functions take C_nu and c_{nu,k} in place of
+J_nu and j_{nu,k}.  The crossing orders are irrational (no rational order can produce
+a common zero), which is reported as an annotation rather than asserted numerically.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 from . import special as _special
 from .interlace import Family, Pair
 from .special import DomainError
-from .zeros import ConvergenceError, _finish_in_place, _zero_stages, zero_table, zeros
+from .zeros import ConvergenceError, _zero_stages, zero_table, zeros
 
 
 class BracketError(ValueError):
@@ -101,7 +100,7 @@ def _distance(m: int, l: int, k: int, nu: float, alpha: float, found: dict | Non
     first k base zeros, validated on their stage-one midpoints, only the k-th is finished."""
     pair, found = _pair(m, nu, alpha), {} if found is None else found
     _check_index(pair, l, k)
-    found[nu] = float(_zero_stages([pair.base], k)[2]([k - 1])[0])
+    found[nu] = float(_zero_stages([pair.base], k).finish([k - 1])[0])
     return float(pair.poly.roots()[l - 1]) - found[nu]
 
 
@@ -138,9 +137,8 @@ def solve_nu_star(
     table of the two ends; accept it only if `Pair.common` takes x* for a common zero."""
     _check_query(m, nu_lo, nu_hi)
     _check_index(_pair(m, nu_lo, alpha), l, k)
-    base, _, refine, roots, _ = _table(m, [nu_lo, nu_hi], k, alpha)
-    refine([k - 1, 2 * k - 1])
-    d_lo, d_hi = (float(roots(i)[l - 1] - base[i, k - 1, 0]) for i in (0, 1))
+    base, _, _, roots = _table(m, [nu_lo, nu_hi], k, alpha)
+    d_lo, d_hi = (float(roots(i)[l - 1] - z) for i, z in enumerate(base.finish([k - 1, 2 * k - 1])))
     return _solve(m, l, k, nu_lo, nu_hi, d_lo, d_hi, alpha)
 
 
@@ -206,33 +204,31 @@ def _solve(
     return NuStarSolution(m, l, k, float(nu_star), float(x_star), res_lo, res_hi, (nu_lo, nu_hi), alpha)
 
 
-def _table(m: int, nus, k_max: int, alpha: float, shifted: bool = False):
-    """Stage one of the first `k_max` base zeros at each order: (base, g, refine, roots,
-    high).  base[i, k] is an interval [lo, hi] on a last axis around base zero k + 1 at
-    nus[i], and g[i, k] the signs of the shifted function at its two ends.  `refine(cells)`
-    runs stage two on the flat cells i * k_max + k, so lo == hi is exact and g is the sign
-    at the zero, evaluated once; `refine()` does so at every order and validates the
+def _table(m: int, nus, k_max: int, alpha: float):
+    """Stage one of the first `k_max` base zeros at each order: (base, g, refine, roots).
+    base is `zeros.Intervals`: base.box[i, k] is [lo, hi] around base zero k + 1 at nus[i],
+    and g[i, k] the signs of the shifted function at its two ends.  `refine(cells)` finishes
+    the flat cells i * k_max + k (`Intervals.finish`), so lo == hi is exact and g is the
+    sign at the zero, evaluated once; `refine()` does so at every order and validates the
     zeros.  `roots(i)` solves the Lommel roots at nus[i] on first use, through `roots()`.
-    With `shifted`, `high` holds the first `k_max` shifted zeros.  More than `_MAX_ZEROS`
-    zeros in all is a DomainError."""
+    More than `_MAX_ZEROS` zeros in all is a DomainError."""
     if len(nus) * k_max > _MAX_ZEROS:
         raise DomainError(
             f"the query would tabulate {k_max:.3g} zeros at each of {len(nus)} orders; "
             f"at most {_MAX_ZEROS} in all"
         )
     pairs = [_pair(m, nu, alpha) for nu in nus]
-    lo, hi, finish = _zero_stages([pair.base for pair in pairs], k_max)
-    base = np.stack([lo, hi], axis=-1)
-    g, value = np.empty_like(base), _special.evaluators(pairs[0].shifted.kind, alpha)[0]
+    base = _zero_stages([pair.base for pair in pairs], k_max)
+    g, value = np.empty_like(base.box), _special.evaluators(pairs[0].shifted.kind, alpha)[0]
     orders = np.asarray(nus, dtype=float) + m  # bit for bit the pairs' shifted orders
 
     def refine(cells=None):
-        cells, z = _finish_in_place(base, finish, cells)
+        z = base.finish(cells)
+        cells = np.arange(z.size) if cells is None else np.asarray(cells, dtype=int)
         g.reshape(-1, 2)[cells] = np.sign(value(orders[cells // k_max], z))[:, None]
 
-    g[:] = np.sign(value(orders[:, None, None], base))
-    high = zero_table([pair.shifted for pair in pairs], k_max) if shifted else None
-    return base, g, refine, functools.cache(lambda i: pairs[i].poly.roots()), high
+    g[:] = np.sign(value(orders[:, None, None], base.box))
+    return base, g, refine, functools.cache(lambda i: pairs[i].poly.roots())
 
 
 def _crossings(m: int, nus, table, alpha: float) -> list:
@@ -244,9 +240,9 @@ def _crossings(m: int, nus, table, alpha: float) -> list:
     interval is at most pi/2 wide, so equal nonzero signs at both ends are the sign at
     the zero.  At the two orders of a change, the one root l whose d = rho_l - z_k
     changes sign by the same rule names the crossing; none or several is a BracketError."""
-    base, g, refine, roots, _ = table
+    base, g, refine, roots = table
     while True:
-        exact = base[..., 0] == base[..., 1]
+        exact = base.box[..., 0] == base.box[..., 1]
         s = np.where(g[..., 0] == g[..., 1], g[..., 0], 0.0)  # 0 where undecided or nan
         zero = s == 0
         flip = (s[:-1] * s[1:] < 0) | (zero & exact)[:-1]
@@ -256,7 +252,7 @@ def _crossings(m: int, nus, table, alpha: float) -> list:
         refine(np.flatnonzero(need & ~exact))
     sols = []
     for i, k in np.argwhere((s[:-1] == 0.0) | (s[:-1] * s[1:] < 0.0)).tolist():
-        d = np.array([roots(i), roots(i + 1)]) - base[i : i + 2, k, 0, None]
+        d = np.array([roots(i), roots(i + 1)]) - base.box[i : i + 2, k, 0, None]
         (ls,) = np.nonzero((d[0] == 0.0) | (d[0] * d[1] < 0.0))
         if ls.size != 1:
             raise BracketError(
@@ -318,12 +314,13 @@ def trace_trajectories(
     nus = [lo]
     while nus[-1] + step <= hi + 1e-9 * step:
         nus.append(min(nus[-1] + step, hi))
-    table = base, _, refine, roots, high = _table(m, nus, k_max, alpha, shifted=True)
+    table = base, _, refine, roots = _table(m, nus, k_max, alpha)
+    high = zero_table([_pair(m, nu, alpha).shifted for nu in nus], k_max)
     refine()  # a trace prints its curves
     rho = np.array([roots(i) for i in range(len(nus))])
 
     tag = _family(alpha).value
-    curves = [(f"{tag}[nu,{k+1}]", base[:, k, 0]) for k in range(k_max)]
+    curves = [(f"{tag}[nu,{k+1}]", base.box[:, k, 0]) for k in range(k_max)]
     curves += [(f"{tag}[nu+{m},{k+1}]", high[:, k]) for k in range(k_max)]
     curves += [(f"rho[{m-1},nu,{l+1}]", rho[:, l]) for l in range(min(l_max, rho.shape[1]))]
     trajectories = [Trajectory(m, cid, tuple(zip(nus, col.tolist()))) for cid, col in curves]

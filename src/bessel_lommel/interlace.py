@@ -13,8 +13,9 @@ Common zeros (points where the base function vanishes together with the
 higher-order one, equivalently where the polynomial vanishes at a base zero)
 are removed from the base sequence and appear exactly once in the merged one;
 the strict alternation base < merged < base < ... is then verified, on certified
-stage-one intervals: only zeros they cannot order, that `Pair.clears` cannot clear
-or that the report prints are finished; no other zero is finished or residual-checked.
+stage-one intervals (`zeros.Intervals`): only zeros they cannot order, that
+`Pair.clears` cannot clear or that the report prints are finished; no other zero is
+finished or residual-checked.
 
 The module also evaluates the Wronskians W[J_nu, R_{m-1,nu+1} J_{nu+m}] and
 W[J'_nu, R*_{m,nu} J_{nu+m}] both from analytic derivatives and from their
@@ -34,7 +35,7 @@ import numpy as np
 from . import lommel as _lommel
 from . import special as _special
 from .special import DomainError, FunctionId, Kind
-from .zeros import _finish_in_place, _zero_stages, zeros
+from .zeros import Intervals, _zero_stages, zeros
 
 
 class Family(enum.Enum):
@@ -236,30 +237,24 @@ def detect_common_zeros(
     return CommonZeroSet(family, m, nu, points, tol, alpha)
 
 
-def _stage_one(fid: FunctionId, K: int):
-    """The first K zeros of fid as certified intervals, rows [lo, hi], and their stage two."""
-    lo, hi, finish = _zero_stages([fid], K)
-    return np.stack([lo[0], hi[0]], axis=-1), finish
-
-
-def _merged(pair: Pair, high, finish, common):
-    """The shifted zeros, intervals `high` of stage two `finish`, merged with the roots: (box,
-    finish, sources) as `_report` takes a list.  A common zero with a partner, the shifted zero
-    within 0.5 (zeros lie at least 1 apart), tags it and drops its nearest root; partners are
-    read exact, and so is a shifted zero whose interval holds a root; an equal root follows it."""
-    roots = pair.poly.roots()
-    inside = ((high[:, :1] <= roots) & (roots <= high[:, 1:])).any(axis=1) | (len(common) > 0)
-    _finish_in_place(high, finish, np.flatnonzero(inside))
-    sources = [Source.HIGHER_ORDER_ZERO] * len(high)
+def _merged(pair: Pair, high: Intervals, common):
+    """The shifted zeros `high` merged with the roots: (intervals, sources), as `_report` takes a
+    list.  A common zero with a partner, the shifted zero within 0.5 (zeros lie at least 1 apart),
+    tags it and drops its nearest root; partners are read exact, and so is a shifted zero whose
+    interval holds a root; an equal root follows it."""
+    roots, box = pair.poly.roots(), high.box.reshape(-1, 2)
+    inside = ((box[:, :1] <= roots) & (roots <= box[:, 1:])).any(axis=1) | (len(common) > 0)
+    high.finish(np.flatnonzero(inside))
+    sources = [Source.HIGHER_ORDER_ZERO] * len(box)
     for c in common:
-        partner = np.flatnonzero(np.abs(high[:, 0] - c) <= 0.5)
+        partner = np.flatnonzero(np.abs(box[:, 0] - c) <= 0.5)
         if partner.size:
             sources[partner[0]] = Source.COMMON_ZERO
             roots = np.delete(roots, np.argmin(np.abs(roots - c)))
     sources += [Source.LOMMEL_ROOT] * roots.size
-    rows = np.argsort(np.concatenate([high[:, 0], roots]), kind="stable")
-    box = np.concatenate([high, np.stack([roots, roots], axis=-1)])[rows]
-    return box, lambda cells: finish(rows[cells]), [sources[r] for r in rows]
+    merged = Intervals(np.concatenate([box, np.stack([roots, roots], axis=-1)]), high.finish)
+    rows = np.argsort(merged.box[:, 0], kind="stable")
+    return merged.take(rows), [sources[r] for r in rows]
 
 
 def merged_sequence(
@@ -275,23 +270,24 @@ def merged_sequence(
     pair = Pair(family, m, nu, alpha)
     base = zeros(pair.base, K + pair.max_common).as_array()
     common, high = base[pair.common(base)], zeros(pair.shifted, K).as_array()
-    box, _, sources = _merged(pair, np.stack([high, high], axis=-1), None, common)
-    return MergedZeros(pair.m, pair.nu, pair.family, tuple(zip(box[:, 0].tolist(), sources)), pair.alpha)
+    merged, sources = _merged(pair, Intervals(np.stack([high, high], axis=-1)), common)
+    entries = tuple(zip(merged.box[:, 0].tolist(), sources))
+    return MergedZeros(pair.m, pair.nu, pair.family, entries, pair.alpha)
 
 
 def _report(pair: Pair, pattern: str, lower, middle, common: tuple = ()) -> InterlaceReport:
-    """Check lower[i] < middle[i] < lower[i+1] as far as both lists reach.  A list is (box,
-    finish): certified intervals [lo, hi] around its zeros, in order, and their stage two.
-    A triple that the intervals do not order is finished in place and compared exactly; a
-    verdict with no triple left to check is a RuntimeError, as `Pair.common`'s loose tolerance."""
-    (low, finish_low), (mid, finish_mid) = lower, middle
+    """Check lower[i] < middle[i] < lower[i+1] as far as both lists reach, each `Intervals`
+    around its zeros, in order.  A triple that the intervals do not order is finished in
+    place and compared exactly; a verdict with no triple left to check is a RuntimeError,
+    as `Pair.common`'s loose tolerance."""
+    low, mid = lower.box.reshape(-1, 2), middle.box.reshape(-1, 2)
     n = min(len(low) - 1, len(mid))
     if n < 1:
         raise RuntimeError(f"no interlacing triple is left to check once {len(common)} base zeros "
                            "are taken for common zeros; the tolerance is too loose")
     unsure = np.flatnonzero((low[:n, 1] >= mid[:n, 0]) | (mid[:n, 1] >= low[1 : n + 1, 0]))
-    _finish_in_place(low, finish_low, np.concatenate([unsure, unsure + 1]))
-    _finish_in_place(mid, finish_mid, unsure)
+    lower.finish(np.concatenate([unsure, unsure + 1]))
+    middle.finish(unsure)
     violations = [(i + 1, float(low[i, 0]), float(mid[i, 0]), float(low[i + 1, 0]))
                   for i in unsure.tolist() if not (low[i, 0] < mid[i, 0] < low[i + 1, 0])]
     ok = not violations
@@ -317,7 +313,7 @@ def verify_plain_interlacing(
     pair = Pair(family, m, nu, alpha)
     if K < 3:
         raise DomainError("interlacing verification needs K >= 3")
-    return _report(pair, "plain", _stage_one(pair.base, K), _stage_one(pair.shifted, K))
+    return _report(pair, "plain", _zero_stages([pair.base], K), _zero_stages([pair.shifted], K))
 
 
 def verify_generalized_interlacing(
@@ -336,14 +332,14 @@ def verify_generalized_interlacing(
     pair = Pair(family, m, nu, alpha)
     if K < 3:
         raise DomainError("interlacing verification needs K >= 3")
-    base, finish = _stage_one(pair.base, K)
-    common = ~pair.clears(base, tol)
-    _finish_in_place(base, finish, np.flatnonzero(common))
-    common[common] = pair.common(base[common, 0], tol)
-    middle = _merged(pair, *_stage_one(pair.shifted, K), base[common, 0])
-    pattern = "generalized" if common.any() or {*middle[2]} - {Source.HIGHER_ORDER_ZERO} else "classical"
-    lower = base[~common], lambda cells: finish(np.flatnonzero(~common)[cells])
-    return _report(pair, pattern, lower, middle[:2], tuple(base[common, 0].tolist()))
+    base = _zero_stages([pair.base], K)
+    box = base.box[0]
+    common = ~pair.clears(box, tol)
+    base.finish(np.flatnonzero(common))
+    common[common] = pair.common(box[common, 0], tol)
+    middle, sources = _merged(pair, _zero_stages([pair.shifted], K), box[common, 0])
+    pattern = "generalized" if common.any() or {*sources} - {Source.HIGHER_ORDER_ZERO} else "classical"
+    return _report(pair, pattern, base.take(np.flatnonzero(~common)), middle, tuple(box[common, 0].tolist()))
 
 
 def no_consecutive_common_zeros(
@@ -369,13 +365,13 @@ def common_zero_sandwich(
     base = zeros(pair.base, K).as_array()
     high = zeros(pair.shifted, K).as_array()
     s = int(np.argmin(np.abs(base - zeta)))
+    k = int(np.argmin(np.abs(high - base[s])))
+    if s + 1 >= base.size or k + 1 >= high.size:  # before the test: zeta may lie past base_K
+        raise DomainError("K too small to bracket the common zero")
     if not pair.common(base[s : s + 1])[0]:
         raise ValueError("zeta is not a common zero of the base and higher-order functions")
-    k = int(np.argmin(np.abs(high - base[s])))
     lo_high = high[k - 1] if k >= 1 else 0.0
     lo_base = base[s - 1] if s >= 1 else 0.0
-    if s + 1 >= base.size or k + 1 >= high.size:
-        raise DomainError("K too small to bracket the common zero")
     return bool(lo_high < lo_base < zeta < base[s + 1] < high[k + 1])
 
 
@@ -519,7 +515,6 @@ def cylinder_prefix_alternation(alpha: float, nu: float, m: int) -> CylinderPref
     """
     pair = Pair(Family.CYLINDER, m, nu, alpha)
     chi = zeros(pair.shifted, 1).zeros[0]
-    base = []
     k = 8
     while True:
         zl = zeros(pair.base, k).as_array()

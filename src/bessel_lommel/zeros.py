@@ -11,7 +11,8 @@ is not known yet, and the zeros are bit for bit those of evaluating every step.
 `zero_table` scans all orders of a grid in one vectorized pass, each on its own
 grid, and refines the brackets together from f at their ends as the scan left it,
 with the bits of a one-order call; a caller may stop after stage one and finish
-only the zeros it reads (`_zero_stages`).
+only the zeros it reads: `_zero_stages` returns stage one as `Intervals`, certified
+[lo, hi] boxes that stage two finishes in place, cell by cell.
 Large-index runs of J_nu zeros switch to asymptotic initial guesses, verified by
 sign changes and residuals.
 
@@ -256,19 +257,18 @@ def zeros(fid: FunctionId, K: int, tolerance: float = ZERO_TOL) -> ZeroList:
             lambda _, x: f(x), lambda _, x: fp(x), _mcmahon_j(fid.order, ks), 4,
             lambda _, x, v, d: x - v / d,
         )
-        xs = np.concatenate([head[0], tail])
+        xs = np.concatenate([head, tail])
         try:
             _validate_run(f, xs)
             tail_res = np.abs(tail_f)  # the head met the contract in its refinement
             if (tail_res > tolerance * np.maximum(1.0, np.abs(tail_fp))).any():
                 raise ConvergenceError("asymptotic-seeded Newton missed the residual contract")
-            res = np.concatenate([head_res[0], tail_res])
+            res = np.concatenate([head_res, tail_res])
             method = "scan+bisect head, asymptotic-seeded Newton tail"
         except ConvergenceError:
             xs = None
     if xs is None:
-        rows, res = _scan([fid], K)[2](None, tolerance)
-        xs, res = rows[0], res[0]
+        xs, res = _scan([fid], K)[2](None, tolerance)
         method = "scan + bisection/Newton"
 
     return ZeroList(
@@ -282,40 +282,48 @@ def zeros(fid: FunctionId, K: int, tolerance: float = ZERO_TOL) -> ZeroList:
 
 def zero_table(fids, K: int) -> np.ndarray:
     """`zeros(fid, K).zeros` for each fid of a sequence, bit for bit, as rows (both stages)."""
-    return _zero_stages(fids, K)[2]()
+    return _zero_stages(fids, K).finish().reshape(len(fids), K)
 
 
-def _zero_stages(fids, K: int):
-    """Stage one of `zero_table(fids, K)`, validated on interval midpoints: (lo, hi, finish).
-    Zero k of row i lies in [lo[i, k], hi[i, k]]; `finish(cells)` (stage two) returns the
-    zeros of the flat cells i * K + k, and `finish()` the whole table, validated.  J_nu
-    rows of over `_BULK_SWITCH` zeros come exact from `zeros()`."""
+class Intervals:
+    """Certified intervals around zeros, finished only where read: `box[..., 0:2]` (contiguous)
+    holds lo and hi of each zero, lo == hi once it is exact; `stage_two(cells)`, needed while a
+    zero is not, gives the zeros of flat cells, and `validate(table)` checks finished zeros."""
+
+    def __init__(self, box: np.ndarray, stage_two=None, validate=None):
+        self.box, self.stage_two, self.validate = box, stage_two, validate
+
+    def finish(self, cells=None) -> np.ndarray:
+        """Stage two, in one call and in place, of the flat `cells` not yet exact: the zeros of
+        `cells`.  With no cells, every cell is finished and the table validated."""
+        flat, whole = self.box.reshape(-1, 2), cells is None
+        cells = np.arange(len(flat)) if whole else np.asarray(cells, dtype=int)
+        todo = np.unique(cells[flat[cells, 0] != flat[cells, 1]])
+        if todo.size:
+            flat[todo] = self.stage_two(todo)[:, None]
+        if whole and self.validate is not None:
+            self.validate(self.box[..., 0])
+        return flat[cells, 0]
+
+    def take(self, rows: np.ndarray) -> Intervals:
+        """The flat cells `rows`, an index array, as intervals that finish through these."""
+        return Intervals(self.box.reshape(-1, 2)[rows], lambda cells: self.finish(rows[cells]))
+
+
+def _zero_stages(fids, K: int) -> Intervals:
+    """Stage one of `zero_table(fids, K)`, validated on interval midpoints: zero k of row i
+    lies in `box[i, k]`, and stage two finishes the flat cells i * K + k.  J_nu rows of
+    over `_BULK_SWITCH` zeros come exact from `zeros()`."""
     for fid in fids:
         _check_domain(fid, K)
     if len({(fid.kind, fid.alpha) for fid in fids}) > 1:
         raise DomainError("zero_table requires one kind and one alpha")
     if K == 0 or not fids or (fids[0].kind is Kind.BESSEL_J and K > _BULK_SWITCH):
         table = np.array([zeros(fid, K).zeros for fid in fids]).reshape(len(fids), K)
-        return table, table, lambda cells=None: table if cells is None else table.ravel()[cells]
-    lo, hi, finish = _scan(fids, K)
-    value = _special.evaluators(fids[0].kind, fids[0].alpha)[0]
-    orders = np.array([fid.order for fid in fids])[:, None]
-    _validate_run(lambda x: value(orders, x), (lo + hi) / 2)
-    return lo, hi, lambda cells=None: finish(cells, ZERO_TOL)[0]
-
-
-def _finish_in_place(box, finish, cells=None):
-    """Stage two (`finish` of `_zero_stages`), in place, of the flat cells of `box`, a contiguous table
-    with [lo, hi] on its last axis: (cells, zeros) of each cell not yet exact, or (None) all, validated."""
-    flat = box.reshape(-1, 2)
-    if cells is None:
-        cells, z = np.arange(len(flat)), finish().ravel()
-    else:
-        cells = np.unique(np.asarray(cells, dtype=int))
-        cells = cells[flat[cells, 0] != flat[cells, 1]]
-        z = finish(cells) if cells.size else np.empty(0)
-    flat[cells] = z[:, None]
-    return cells, z
+        return Intervals(np.stack([table, table], axis=-1))
+    lo, hi, finish, validate = _scan(fids, K)
+    validate((lo + hi) / 2)
+    return Intervals(np.stack([lo, hi], axis=-1), lambda cells: finish(cells, ZERO_TOL)[0], validate)
 
 
 def _scan_start(value, kind: Kind, nus):
@@ -396,10 +404,10 @@ def _grid_scan(value, fids, K: int):
 
 
 def _scan(fids, K: int):
-    """Stage one of the first K zeros of each fid: (a, b, finish), where `finish(cells,
-    tolerance)` is stage two of the flat cells row * K + k, returned flat as (zeros,
-    residuals); `cells=None` finishes every row and validates them (`_validate_run`).
-    A pass holds at most `_BATCH_BRACKETS` brackets."""
+    """Stage one of the first K zeros of each fid: (a, b, finish, validate), where `finish(cells,
+    tolerance)` is stage two of the flat cells row * K + k, returned flat as (zeros, residuals),
+    and `validate` checks a table of zeros by row (`_validate_run`); `cells=None` finishes and
+    validates every row.  A pass holds at most `_BATCH_BRACKETS` brackets."""
     value, derivative, step = _special.evaluators(fids[0].kind, fids[0].alpha)
     nus = np.array([fid.order for fid in fids], dtype=float)
     orders = np.repeat(nus, K)
@@ -407,6 +415,7 @@ def _scan(fids, K: int):
     parts = [_bracket_zeros(value, orders[i * K : (i + n) * K], *_grid_scan(value, fids[i : i + n], K), step)
              for i in range(0, len(fids), n)]
     state = [np.concatenate(v) for v in zip(*parts)]
+    validate = lambda xs: _validate_run(lambda x: value(nus[:, None], x), xs)
 
     def finish(cells, tolerance):
         every = np.arange(orders.size) if cells is None else np.asarray(cells, dtype=int)
@@ -414,11 +423,10 @@ def _scan(fids, K: int):
                  for c in (every[i : i + _BATCH_BRACKETS] for i in range(0, every.size, _BATCH_BRACKETS))]
         xs, res = (np.concatenate(v) for v in zip(*parts))
         if cells is None:
-            xs, res = xs.reshape(-1, K), res.reshape(-1, K)
-            _validate_run(lambda x: value(nus[:, None], x), xs)
+            validate(xs.reshape(-1, K))
         return xs, res
 
-    return state[0].reshape(-1, K), state[1].reshape(-1, K), finish
+    return state[0].reshape(-1, K), state[1].reshape(-1, K), finish, validate
 
 
 def watson_derivative(nu: float, c: float) -> float:
@@ -453,7 +461,7 @@ def series_derivative(nu: float, j: float) -> float:
             break
     else:
         raise ConvergenceError("Lommel series for dj/dnu did not converge")
-    return 2.0 * total / j
+    return float(2.0 * total / j)
 
 
 def dj_dnu(nu: float, k: int) -> OrderDerivative:
@@ -461,15 +469,14 @@ def dj_dnu(nu: float, k: int) -> OrderDerivative:
     if nu <= 0.0 or k < 1:
         raise DomainError("dj_dnu requires nu > 0 and k >= 1")
     fids = [FunctionId(Kind.BESSEL_J, v) for v in (nu, nu + 1e-4, nu - 1e-4)]
-    j, up, down = _zero_stages(fids, k)[2]([k - 1, 2 * k - 1, 3 * k - 1]).tolist()
+    j, up, down = _zero_stages(fids, k).finish([k - 1, 2 * k - 1, 3 * k - 1]).tolist()
     fd = (up - down) / 2e-4
     series = series_derivative(nu, j)
     watson = watson_derivative(nu, j)
     values = (fd, series, watson)
     if min(values) <= 0.0:
         raise ConvergenceError(f"order derivative is not positive: {values}")
-    big = max(abs(v) for v in values)
-    spread = max(abs(a - b) for a in values for b in values) / big
+    spread = (max(values) - min(values)) / max(values)  # the largest pairwise gap, all positive
     return OrderDerivative(nu, k, fd, series, watson, spread)
 
 
@@ -478,5 +485,5 @@ def cylinder_zero_monotonicity(alpha: float, nu_values, k: int) -> bool:
     if k < 1:
         raise DomainError("cylinder_zero_monotonicity requires k >= 1")
     fids = [FunctionId(Kind.CYLINDER, nu, alpha=alpha) for nu in nu_values]
-    cs = _zero_stages(fids, k)[2](np.arange(len(fids)) * k + k - 1)
+    cs = _zero_stages(fids, k).finish(np.arange(len(fids)) * k + k - 1)
     return bool((np.diff(cs) > 0.0).all())

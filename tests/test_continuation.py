@@ -221,11 +221,12 @@ def test_table_refines_each_function_in_one_pass(monkeypatch):
         stage = getattr(zeros_mod, name)
         monkeypatch.setattr(zeros_mod, name, lambda *a, stage=stage, seen=seen: seen.append(1) or stage(*a))
     nus = [5.0 + 0.0625 * i for i in range(17)]
-    base, g, refine, roots, high = _table(5, nus, 3, 0.0, shifted=True)
+    base, g, refine, roots = _table(5, nus, 3, 0.0)
+    high = bl.zero_table([bl.FunctionId(bl.Kind.BESSEL_J, nu + 5) for nu in nus], 3)  # as a trace
     refine(range(17))
     for seen in calls.values():  # stage one and stage two, each in one pass per function
         assert len(seen) == 2
-    assert g.shape == base.shape == (17, 3, 2) and high.shape == (17, 3)
+    assert g.shape == base.box.shape == (17, 3, 2) and high.shape == (17, 3)
 
 
 def _brent_runs(f, a, b):

@@ -158,6 +158,14 @@ def test_common_zero_sandwich_at_crossing():
     assert bl.common_zero_sandwich(Family.BESSEL_J, 5, NU_STAR_M5, 26.294110115998)
 
 
+@pytest.mark.parametrize("K", [5, 6])
+def test_sandwich_with_too_few_zeros_is_a_domain_error(K):
+    # zeta is base zero 6; at K = 5 the base zero nearest it is zero 5, which failed the
+    # common-zero test first, so a true common zero was refused as "not a common zero"
+    with pytest.raises(DomainError, match="K too small"):
+        bl.common_zero_sandwich(Family.BESSEL_J, 5, NU_STAR_M5, 26.294110115997597, K=K)
+
+
 # orders within about 1e-6 of NU_STAR_M5, where a root of R_{4,nu+1} and a zero
 # of J_{nu+5} lie so close to a zero of J_nu that a second common-zero rule
 # (a relative gap in the merge) disagreed with the base list's

@@ -37,8 +37,10 @@ def _undecided(monkeypatch):
     stages = C._zero_stages
 
     def unbounded(fids, K):
-        lo, hi, finish = stages(fids, K)
-        return np.full_like(lo, -np.inf), np.full_like(hi, np.inf), finish
+        intervals = stages(fids, K)
+        box = intervals.box
+        np.copyto(box, [-np.inf, np.inf], where=box[..., :1] < box[..., 1:])  # zeros not yet exact
+        return intervals
 
     monkeypatch.setattr(C, "_zero_stages", unbounded)
 
@@ -49,8 +51,8 @@ def _refined_cells(monkeypatch):
     table = C._table
 
     def recording(*args, **kwargs):
-        base, g, refine, roots, high = table(*args, **kwargs)
-        return base, g, lambda cells: seen.extend(cells) or refine(cells), roots, high
+        base, g, refine, roots = table(*args, **kwargs)
+        return base, g, lambda cells: seen.extend(cells) or refine(cells), roots
 
     monkeypatch.setattr(C, "_table", recording)
     return seen
@@ -181,14 +183,14 @@ def test_window_without_crossing_finishes_no_zero(monkeypatch):
 def _synthetic(base, g, exact, roots):
     """A `_table` of exact and interval cells: `refine` records its flat cells and sets cell
     c to `exact[c]` (a zero and its shifted sign), and `roots(i)` is `roots[i]`."""
-    base, g, refined = np.array(base), np.array(g), []
+    base, g, refined = Z.Intervals(np.array(base)), np.array(g), []
 
     def refine(cells):
         refined.extend(cells)
         for c in cells:
-            base.reshape(-1, 2)[c], g.reshape(-1, 2)[c] = exact[c]
+            base.box.reshape(-1, 2)[c], g.reshape(-1, 2)[c] = exact[c]
 
-    return (base, g, refine, roots.__getitem__, None), refined
+    return (base, g, refine, roots.__getitem__), refined
 
 
 def test_exact_tie_refines_the_next_order(monkeypatch):
@@ -244,17 +246,17 @@ def test_crossing_solves_roots_at_its_two_orders_and_the_solve_steps(monkeypatch
 @pytest.mark.parametrize("m, nu, alpha", [(5, 5.0, 0.0), (9, 2.0, 0.0), (7, 3.0, 1.3), (12, 0.5, 2.9)])
 def test_table_values_lie_in_their_stage_one_intervals(m, nu, alpha):
     nus = [nu + 0.125 * i for i in range(9)]
-    base, _, refine, _, _ = C._table(m, nus, 5, alpha)
-    interval = base.copy()
+    base, _, refine, _ = C._table(m, nus, 5, alpha)
+    interval = base.box.copy()
     refine()
-    assert (base[..., 0] == base[..., 1]).all()
-    assert ((interval[..., 0] <= base[..., 0]) & (base[..., 0] <= interval[..., 1])).all()
+    assert (base.box[..., 0] == base.box[..., 1]).all()
+    assert ((interval[..., 0] <= base.box[..., 0]) & (base.box[..., 0] <= interval[..., 1])).all()
 
 
 @pytest.mark.parametrize("m, nu, alpha", [(5, 5.0, 0.0), (9, 2.0, 0.0), (7, 3.0, 1.3), (12, 0.5, 2.9)])
 def test_decided_signs_are_the_signs_at_the_zeros(m, nu, alpha):
     nus = [nu + 0.125 * i for i in range(9)]
-    _, g, refine, _, _ = C._table(m, nus, 5, alpha)
+    _, g, refine, _ = C._table(m, nus, 5, alpha)
     decided = (g[..., 0] == g[..., 1]) & (g[..., 0] != 0.0)
     ends = g[..., 0].copy()
     refine()
@@ -267,7 +269,7 @@ def test_rows_never_refined_are_validated_on_interval_midpoints(monkeypatch):
     seen = []
     validate = Z._validate_run
     monkeypatch.setattr(Z, "_validate_run", lambda f, xs: seen.append(xs) or validate(f, xs))
-    base = C._table(4, [8.0 + 0.125 * i for i in range(33)], 3, 0.0)[0]
+    base = C._table(4, [8.0 + 0.125 * i for i in range(33)], 3, 0.0)[0].box
     assert seen[0].shape == (33, 3)
     assert (seen[0] == base.mean(axis=-1)).all() and (base[..., 0] < base[..., 1]).all()
 
@@ -289,10 +291,33 @@ def _zero_cases():
             yield [FunctionId(kind, nu, alpha=alpha) for nu in nus], rng.randint(1, 80)
 
 
+def test_intervals_finish_each_inexact_cell_once():
+    # cells 0 and 3 are exact.  Finishing repeats cells and exact ones, and a view taken
+    # before cell 1 was finished asks for it again; stage two sees each inexact cell once,
+    # and the whole table is validated once every cell is exact
+    calls, validated = [], []
+
+    def stage_two(cells):
+        calls.append(cells.tolist())
+        return cells + 0.5
+
+    box = np.array([[[0.0, 0.0], [1.0, 2.0]], [[2.0, 3.0], [3.0, 3.0]]])
+    intervals = Z.Intervals(box, stage_two, lambda table: validated.append(table.tolist()))
+    view = intervals.take(np.array([3, 2, 1]))
+    assert intervals.finish([1, 0, 1, 3]).tolist() == [1.5, 0.0, 1.5, 3.0]
+    assert view.finish([2, 1, 0, 1]).tolist() == [1.5, 2.5, 3.0, 2.5]
+    assert calls == [[1], [2]] and validated == []
+    assert intervals.finish().tolist() == [0.0, 1.5, 2.5, 3.0]
+    assert calls == [[1], [2]] and validated == [[[0.0, 1.5], [2.5, 3.0]]]
+    assert box.tolist() == [[[0.0, 0.0], [1.5, 1.5]], [[2.5, 2.5], [3.0, 3.0]]]  # in place
+    assert view.box.tolist() == [[3.0, 3.0], [2.5, 2.5], [1.5, 1.5]]
+
+
 @pytest.mark.parametrize("fids, K", list(_zero_cases()))
 def test_zeros_lie_in_their_stage_one_intervals(fids, K):
-    lo, hi, finish = Z._zero_stages(fids, K)
-    table = finish()
+    stages = Z._zero_stages(fids, K)
+    lo, hi = stages.box[..., 0].copy(), stages.box[..., 1].copy()
+    table = stages.finish().reshape(lo.shape)
     assert ((lo <= table) & (table <= hi)).all()
     assert (lo < hi).all()  # no row is exact before stage two
     assert [row.tobytes() for row in table] == [row.tobytes() for row in Z.zero_table(fids, K)]

@@ -44,8 +44,10 @@ def _widened(monkeypatch):
     stages = I._zero_stages
 
     def unbounded(fids, K):
-        lo, hi, finish = stages(fids, K)
-        return np.full_like(lo, -np.inf), np.full_like(hi, np.inf), finish
+        intervals = stages(fids, K)
+        box = intervals.box
+        np.copyto(box, [-np.inf, np.inf], where=box[..., :1] < box[..., 1:])  # zeros not yet exact
+        return intervals
 
     monkeypatch.setattr(I, "_zero_stages", unbounded)
 
@@ -126,15 +128,15 @@ def test_a_root_inside_a_shifted_interval_finishes_that_zero():
         finished.extend(cells.tolist())
         return np.array([exact[c] for c in cells])
 
-    high = np.array([[1.0, 2.0], [4.0, 5.0], [7.0, 8.0]])
+    high = Z.Intervals(np.array([[1.0, 2.0], [4.0, 5.0], [7.0, 8.0]]), finish)
     pair = SimpleNamespace(poly=SimpleNamespace(roots=lambda: np.array([3.0, 4.25])))
-    box, finish_merged, sources = I._merged(pair, high, finish, [])
+    merged, sources = I._merged(pair, high, [])
     assert finished == [1]  # only the interval that holds a root
     # the root equal to the shifted zero follows it, as in a stable sort by value
-    assert box.tolist() == [[1.0, 2.0], [3.0, 3.0], [4.25, 4.25], [4.25, 4.25], [7.0, 8.0]]
+    assert merged.box.tolist() == [[1.0, 2.0], [3.0, 3.0], [4.25, 4.25], [4.25, 4.25], [7.0, 8.0]]
     H, R = Source.HIGHER_ORDER_ZERO, Source.LOMMEL_ROOT
     assert sources == [H, R, H, R, H]
-    assert finish_merged(np.array([4])).tolist() == [7.5]  # merged row 4 is shifted zero 3
+    assert merged.finish(np.array([4])).tolist() == [7.5]  # merged row 4 is shifted zero 3
     assert finished == [1, 2]
 
 

@@ -111,6 +111,7 @@ def test_domain_errors():
 def test_order_derivative_routes_agree():
     od = bl.dj_dnu(1.0, 1)
     assert od.value_fd > 0 and od.value_series > 0 and od.value_watson > 0
+    assert {type(v) for v in (od.value_fd, od.value_series, od.value_watson, od.spread)} == {float}
     assert abs(od.value_fd - od.value_series) / od.value_fd < 1e-5
     assert od.spread <= 1e-4
 
