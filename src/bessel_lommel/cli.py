@@ -31,8 +31,8 @@ class RunConfig:
     verbose: bool = False
 
     def validate(self) -> None:
-        if min(self.zero_tol, self.common_tol) <= 0.0:
-            raise ValueError("all tolerances must be positive")
+        if not all(0.0 < tol < float("inf") for tol in (self.zero_tol, self.common_tol)):
+            raise ValueError("all tolerances must be finite and positive")
         if self.series_n < 100:
             raise ValueError("series truncation must be at least 100")
         if self.fmt not in ("json", "csv"):

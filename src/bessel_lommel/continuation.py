@@ -37,8 +37,6 @@ class BracketError(ValueError):
 _SCAN_FLOOR = {Family.BESSEL_J: -1.0 + 1.0 / 16.0, Family.CYLINDER: 1e-3}
 # most orders an order grid may hold; each order costs a zero search
 _MAX_ORDERS = 10_000
-# most zeros a query may tabulate, over all its orders
-_MAX_ZEROS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -211,12 +209,7 @@ def _table(m: int, nus, k_max: int, alpha: float):
     the flat cells i * k_max + k (`Intervals.finish`), so lo == hi is exact and g is the
     sign at the zero, evaluated once; `refine()` does so at every order and validates the
     zeros.  `roots(i)` solves the Lommel roots at nus[i] on first use, through `roots()`.
-    More than `_MAX_ZEROS` zeros in all is a DomainError."""
-    if len(nus) * k_max > _MAX_ZEROS:
-        raise DomainError(
-            f"the query would tabulate {k_max:.3g} zeros at each of {len(nus)} orders; "
-            f"at most {_MAX_ZEROS} in all"
-        )
+    More than `zeros._MAX_ZEROS` zeros in all is a DomainError (`_zero_stages`)."""
     pairs = [_pair(m, nu, alpha) for nu in nus]
     base = _zero_stages([pair.base for pair in pairs], k_max)
     g, value = np.empty_like(base.box), _special.evaluators(pairs[0].shifted.kind, alpha)[0]

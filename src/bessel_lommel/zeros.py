@@ -10,11 +10,11 @@ interval provably holds the final zero.  Stage two evaluates only where the outc
 is not known yet, and the zeros are bit for bit those of evaluating every step.
 `zero_table` scans all orders of a grid in one vectorized pass, each on its own
 grid, and refines the brackets together from f at their ends as the scan left it,
-with the bits of a one-order call; a caller may stop after stage one and finish
-only the zeros it reads: `_zero_stages` returns stage one as `Intervals`, certified
-[lo, hi] boxes that stage two finishes in place, cell by cell.
-Large-index runs of J_nu zeros switch to asymptotic initial guesses, verified by
-sign changes and residuals.
+with the bits of a one-order call.  Stage one is always `Intervals` (`_scan`), certified
+[lo, hi] boxes that stage two finishes in place, cell by cell: `zeros()` finishes every
+cell, and a caller of `_zero_stages` only the zeros it reads.  Large-index runs of J_nu
+zeros switch to asymptotic initial guesses, verified by sign changes and residuals;
+`zeros()` and `_zero_stages` take such finished rows from one helper (`_finished`).
 
 dj/dnu is computed by three independent routes (finite differences of the
 zero, the squared-Lommel-polynomial series, and the K_0 integral) and the
@@ -146,7 +146,7 @@ def _bracket_zeros(value, orders, a, b, fa, fb, step):
 def _finish_zeros(value, derivative, orders, state, tolerance: float):
     """Stage two, in place on the state: the rest of the 48 bisection steps by the rule
     fa * f(mid) <= 0 (a midpoint that rounds to an end takes the value f has there), a
-    Newton polish of at most 3 steps (`_newton`) and the residual contract."""
+    Newton polish of at most 3 steps (`_newton`) and the residual contract: the zeros."""
     a, b, fa, fb, steps = state
     every = np.arange(a.size)
     f, fp = (lambda rows, x: value(orders[rows], x)), (lambda rows, x: derivative(orders[rows], x))
@@ -173,7 +173,7 @@ def _finish_zeros(value, derivative, orders, state, tolerance: float):
         raise ConvergenceError(
             f"residual {res[i]:.3g} exceeds contract in bracket ({a[i]:.9g}, {b[i]:.9g})"
         )
-    return x, res
+    return x
 
 
 def _mcmahon_j(nu: float, ks: np.ndarray) -> np.ndarray:
@@ -226,32 +226,37 @@ def _validate_run(f, xs: np.ndarray) -> None:
 _BULK_SWITCH = 80
 ZERO_TOL = 1e-12  # default residual tolerance of a zero: |f| <= tol * max(1, |f'|)
 _BATCH_BRACKETS = 4096  # bounds the temporaries of one refinement pass on long grids
+_MAX_ZEROS = 1_000_000  # most zeros one query may ask for, over all its orders
 # least order from which f > 0 just above x = 0: J_nu (nu > -1), J'_nu (nu > 0), C_nu (nu >= 0)
 _POSITIVE_NEAR_0 = {Kind.BESSEL_J: -1.0, Kind.BESSEL_J_PRIME: math.ulp(0.0), Kind.CYLINDER: 0.0}
 
 
-def _check_domain(fid: FunctionId, K: int) -> None:
+def _check_domain(fids, K: int) -> None:
+    """The domain of the first K zeros of each fid, which `zeros()` and `_zero_stages` share."""
     if K < 0:
         raise DomainError("zeros requires K >= 0")
-    if fid.kind is Kind.BESSEL_J and fid.order <= -1.0:
-        raise DomainError("zeros of J_nu require nu > -1")
-    if fid.kind is Kind.BESSEL_J_PRIME and fid.order < 0.0:
-        raise DomainError("zeros of J'_nu require nu >= 0")
+    for fid in fids:
+        if fid.kind is Kind.BESSEL_J and fid.order <= -1.0:
+            raise DomainError("zeros of J_nu require nu > -1")
+        if fid.kind is Kind.BESSEL_J_PRIME and fid.order < 0.0:
+            raise DomainError("zeros of J'_nu require nu >= 0")
+    if len({(fid.kind, fid.alpha) for fid in fids}) > 1:
+        raise DomainError("zero_table requires one kind and one alpha")
+    if len(fids) * K > _MAX_ZEROS:
+        raise DomainError(
+            f"the query would tabulate {K:.7g} zeros at each of {len(fids)} orders; "
+            f"at most {_MAX_ZEROS} in all"
+        )
 
 
-def zeros(fid: FunctionId, K: int, tolerance: float = ZERO_TOL) -> ZeroList:
-    """First K positive zeros of the function identified by `fid`."""
-    _check_domain(fid, K)
-    if K == 0:
-        return ZeroList(fid, (), (), "none requested", tolerance)
-
-    f = _special.value_fn(fid)
-    fp = _special.derivative_fn(fid)
-
-    xs = None
+def _finished(fid: FunctionId, K: int, tolerance: float):
+    """The first K >= 1 zeros of `fid`, finished at `tolerance`, and how: (xs, method).  A J_nu
+    run of over `_BULK_SWITCH` zeros scans a head and takes its tail by Newton steps from
+    McMahon's guesses, validated and held to the residual contract, or else scans it all."""
     head_n = max(12, int(math.ceil(max(fid.order, 0.0))) + 4)
     if fid.kind is Kind.BESSEL_J and K > max(_BULK_SWITCH, head_n):
-        head, head_res = _scan([fid], head_n)[2](None, tolerance)
+        f, fp = _special.value_fn(fid), _special.derivative_fn(fid)
+        head = _scan([fid], head_n, tolerance).finish()
         ks = np.arange(head_n + 1, K + 1, dtype=float)
         tail, tail_f, tail_fp = _newton(
             lambda _, x: f(x), lambda _, x: fp(x), _mcmahon_j(fid.order, ks), 4,
@@ -260,24 +265,22 @@ def zeros(fid: FunctionId, K: int, tolerance: float = ZERO_TOL) -> ZeroList:
         xs = np.concatenate([head, tail])
         try:
             _validate_run(f, xs)
-            tail_res = np.abs(tail_f)  # the head met the contract in its refinement
-            if (tail_res > tolerance * np.maximum(1.0, np.abs(tail_fp))).any():
+            if (np.abs(tail_f) > tolerance * np.maximum(1.0, np.abs(tail_fp))).any():
                 raise ConvergenceError("asymptotic-seeded Newton missed the residual contract")
-            res = np.concatenate([head_res, tail_res])
-            method = "scan+bisect head, asymptotic-seeded Newton tail"
+            return xs, "scan+bisect head, asymptotic-seeded Newton tail"
         except ConvergenceError:
-            xs = None
-    if xs is None:
-        xs, res = _scan([fid], K)[2](None, tolerance)
-        method = "scan + bisection/Newton"
+            pass
+    return _scan([fid], K, tolerance).finish(), "scan + bisection/Newton"
 
-    return ZeroList(
-        fid=fid,
-        zeros=tuple(float(v) for v in xs),
-        residuals=tuple(float(r) for r in res),
-        method=method,
-        tolerance=tolerance,
-    )
+
+def zeros(fid: FunctionId, K: int, tolerance: float = ZERO_TOL) -> ZeroList:
+    """First K positive zeros of the function identified by `fid`."""
+    _check_domain([fid], K)
+    if K == 0:
+        return ZeroList(fid, (), (), "none requested", tolerance)
+    xs, method = _finished(fid, K, tolerance)
+    res = np.abs(_special.value_fn(fid)(xs))
+    return ZeroList(fid, tuple(xs.tolist()), tuple(res.tolist()), method, tolerance)
 
 
 def zero_table(fids, K: int) -> np.ndarray:
@@ -286,9 +289,9 @@ def zero_table(fids, K: int) -> np.ndarray:
 
 
 class Intervals:
-    """Certified intervals around zeros, finished only where read: `box[..., 0:2]` (contiguous)
-    holds lo and hi of each zero, lo == hi once it is exact; `stage_two(cells)`, needed while a
-    zero is not, gives the zeros of flat cells, and `validate(table)` checks finished zeros."""
+    """Certified intervals around zeros (`_scan`), finished only where read: `box[..., 0:2]`
+    (contiguous) holds lo and hi of each zero, lo == hi once exact, as on finished rows;
+    `stage_two(cells)` gives the zeros of flat cells, and `validate(table)` checks finished zeros."""
 
     def __init__(self, box: np.ndarray, stage_two=None, validate=None):
         self.box, self.stage_two, self.validate = box, stage_two, validate
@@ -311,19 +314,16 @@ class Intervals:
 
 
 def _zero_stages(fids, K: int) -> Intervals:
-    """Stage one of `zero_table(fids, K)`, validated on interval midpoints: zero k of row i
-    lies in `box[i, k]`, and stage two finishes the flat cells i * K + k.  J_nu rows of
-    over `_BULK_SWITCH` zeros come exact from `zeros()`."""
-    for fid in fids:
-        _check_domain(fid, K)
-    if len({(fid.kind, fid.alpha) for fid in fids}) > 1:
-        raise DomainError("zero_table requires one kind and one alpha")
+    """Stage one of `zero_table(fids, K)` (`_scan`), validated on interval midpoints: zero k of
+    row i lies in `box[i, k]`, and stage two finishes the flat cells i * K + k.  J_nu rows of
+    over `_BULK_SWITCH` zeros come exact from `_finished`, as `zeros()` gives them."""
+    _check_domain(fids, K)
     if K == 0 or not fids or (fids[0].kind is Kind.BESSEL_J and K > _BULK_SWITCH):
-        table = np.array([zeros(fid, K).zeros for fid in fids]).reshape(len(fids), K)
+        table = np.array([_finished(fid, K, ZERO_TOL)[0] for fid in fids if K]).reshape(len(fids), K)
         return Intervals(np.stack([table, table], axis=-1))
-    lo, hi, finish, validate = _scan(fids, K)
-    validate((lo + hi) / 2)
-    return Intervals(np.stack([lo, hi], axis=-1), lambda cells: finish(cells, ZERO_TOL)[0], validate)
+    stages = _scan(fids, K)
+    stages.validate((stages.box[..., 0] + stages.box[..., 1]) / 2)
+    return stages
 
 
 def _scan_start(value, kind: Kind, nus):
@@ -403,11 +403,10 @@ def _grid_scan(value, fids, K: int):
     return a, b, fa, fb
 
 
-def _scan(fids, K: int):
-    """Stage one of the first K zeros of each fid: (a, b, finish, validate), where `finish(cells,
-    tolerance)` is stage two of the flat cells row * K + k, returned flat as (zeros, residuals),
-    and `validate` checks a table of zeros by row (`_validate_run`); `cells=None` finishes and
-    validates every row.  A pass holds at most `_BATCH_BRACKETS` brackets."""
+def _scan(fids, K: int, tolerance: float = ZERO_TOL) -> Intervals:
+    """Stage one of the first K >= 1 zeros of each fid, as `Intervals` over the flat cells
+    row * K + k: stage two is `_finish_zeros` at `tolerance`, in passes of at most
+    `_BATCH_BRACKETS` brackets, and `validate` checks a table of zeros by row (`_validate_run`)."""
     value, derivative, step = _special.evaluators(fids[0].kind, fids[0].alpha)
     nus = np.array([fid.order for fid in fids], dtype=float)
     orders = np.repeat(nus, K)
@@ -415,18 +414,14 @@ def _scan(fids, K: int):
     parts = [_bracket_zeros(value, orders[i * K : (i + n) * K], *_grid_scan(value, fids[i : i + n], K), step)
              for i in range(0, len(fids), n)]
     state = [np.concatenate(v) for v in zip(*parts)]
+
+    def stage_two(cells):
+        passes = (cells[i : i + _BATCH_BRACKETS] for i in range(0, cells.size, _BATCH_BRACKETS))
+        return np.concatenate([_finish_zeros(value, derivative, orders[c], [v[c] for v in state], tolerance)
+                               for c in passes])
+
     validate = lambda xs: _validate_run(lambda x: value(nus[:, None], x), xs)
-
-    def finish(cells, tolerance):
-        every = np.arange(orders.size) if cells is None else np.asarray(cells, dtype=int)
-        parts = [_finish_zeros(value, derivative, orders[c], [v[c] for v in state], tolerance)
-                 for c in (every[i : i + _BATCH_BRACKETS] for i in range(0, every.size, _BATCH_BRACKETS))]
-        xs, res = (np.concatenate(v) for v in zip(*parts))
-        if cells is None:
-            validate(xs.reshape(-1, K))
-        return xs, res
-
-    return state[0].reshape(-1, K), state[1].reshape(-1, K), finish, validate
+    return Intervals(np.stack(state[:2], axis=-1).reshape(-1, K, 2), stage_two, validate)
 
 
 def watson_derivative(nu: float, c: float) -> float:

@@ -379,6 +379,45 @@ def test_bracket_past_the_zero_cap_exits_2_at_once(capsys):
     assert err.startswith("domain error: the query would tabulate") and "at most 1000000" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("zeros", "--kind", "j", "--nu", "0", "--count", "1000001"),
+        ("interlace", "--family", "j", "--m", "5", "--nu", "2", "--k", "1000001"),
+        ("wronskian", "--m", "3", "--nu", "0.5", "--x", "4.0", "--N", "1000001"),
+    ],
+    ids=["zeros", "interlace", "wronskian"],
+)
+def test_count_past_the_zero_cap_exits_2_at_once(capsys, args):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *args)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        "domain error: the query would tabulate 1000001 zeros at each of 1 orders; at most 1000000 in all\n"
+    )
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "key, args",
+    [
+        ("tol", ("zeros", "--kind", "j", "--nu", "0", "--count", "3")),
+        ("common-tol", ("interlace", "--family", "j", "--m", "5", "--nu", "5.619812295723271", "--k", "10")),
+    ],
+    ids=["tol", "common-tol"],
+)
+def test_non_finite_tolerance_flag_and_key_exit_2(tmp_path: Path, capsys, key, args, value):
+    # a NaN common-zero tolerance lost the true common zero 26.294110115998 here, a NaN zero
+    # tolerance refused residual 0, and an infinite one printed invalid JSON (Infinity)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    for extra in ((f"--{key}", value), ("--config", str(cfg))):
+        code, out, err = run_cli(capsys, *args, *extra)
+        assert (code, out) == (2, "")
+        assert err == "configuration error: all tolerances must be finite and positive\n"
+
+
 def test_alpha_outside_family_c_exits_2(capsys):
     code, _, err = run_cli(
         capsys, "interlace", "--family", "jp", "--m", "3", "--nu", "1.125", "--k", "6",

@@ -217,6 +217,53 @@ def test_zero_table_shares_the_domain_checks_of_zeros():
     assert bl.zero_table([], 4).shape == (0, 4)
 
 
+@pytest.mark.parametrize(
+    "fid",
+    [jfid(1.0), bl.FunctionId(bl.Kind.CYLINDER, 1.0, alpha=0.5), bl.FunctionId(bl.Kind.BESSEL_J_PRIME, 1.0)],
+    ids=["j", "c", "jp"],
+)
+def test_no_zeros_asked_for_give_empty_results(fid):
+    # K == 0 never reaches the scan, whose passes hold _BATCH_BRACKETS // K rows
+    zl = bl.zeros(fid, 0)
+    assert (zl.zeros, zl.residuals) == ((), ())
+    assert bl.zero_table([fid, fid], 0).shape == (2, 0)
+    stages = ZEROS._zero_stages([fid], 0)
+    assert stages.box.shape == (1, 0, 2) and stages.finish().size == 0
+
+
+def test_stage_tables_take_bulk_rows_without_calling_zeros(monkeypatch):
+    want = _hex(bl.zeros(jfid(2.5), 120).zeros)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("_zero_stages called zeros()")
+
+    monkeypatch.setattr(ZEROS, "zeros", refused)
+    stages = ZEROS._zero_stages([jfid(2.5)], 120)
+    assert (stages.box[..., 0] == stages.box[..., 1]).all()  # exact before any stage two
+    assert _hex(stages.finish()) == want
+
+
+@pytest.mark.parametrize(
+    "fid, K",
+    [(jfid(0.5), 10), (jfid(0.5), 120), (bl.FunctionId(bl.Kind.CYLINDER, 1.5, alpha=2.0), 30)],
+    ids=["scan", "bulk", "cylinder"],
+)
+def test_zeros_finishes_in_one_stage_two_pass(monkeypatch, fid, K):
+    passes, finish = [], ZEROS._finish_zeros
+    monkeypatch.setattr(ZEROS, "_finish_zeros", lambda *a: passes.append(a[2].size) or finish(*a))
+    assert len(bl.zeros(fid, K)) == K
+    assert passes == [12 if K > 80 else K]  # a bulk run finishes only its scanned head
+
+
+@pytest.mark.parametrize(
+    "query", [lambda: bl.zeros(jfid(0.0), 1_000_001), lambda: bl.dj_dnu(1.5, 400_000)], ids=["zeros", "dj_dnu"]
+)
+def test_every_zero_query_shares_the_zero_cap(query):
+    # dj_dnu asks for k zeros at each of three orders
+    with pytest.raises(DomainError, match="at most 1000000 in all"):
+        query()
+
+
 def test_bulk_route_returns_exactly_k_zeros():
     # J_100 needs a head of 104 zeros before the asymptotic tail, more than the 85 asked
     zl = bl.zeros(jfid(100.0), 85)
