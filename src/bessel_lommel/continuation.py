@@ -111,7 +111,7 @@ def _check_grid(lo: float, hi: float, step: float) -> None:
         raise DomainError(f"the order grid from {lo:g} to {hi:g} runs backwards")
     if step < np.spacing(max(abs(lo), abs(hi))):
         raise DomainError(f"the order grid requires step > 0 that moves the order; got {step:g}")
-    if (hi - lo) / step > _MAX_ORDERS:
+    if (hi - lo) / step > _MAX_ORDERS - 1:  # the grid holds lo and each step up to hi
         raise DomainError(f"the order grid exceeds {_MAX_ORDERS} orders at step {step:g}")
 
 
@@ -328,6 +328,8 @@ def rational_order_margin(m: int, nu: float, K: int = 20) -> float:
     zeros exist there); it collapses only near the irrational crossing
     orders nu*.
     """
+    if K < 1:
+        raise DomainError("rational_order_margin requires K >= 1")
     pair = _pair(m, nu, 0.0)
     zs = zeros(pair.base, K).as_array()
     return float(np.abs(_special.value_fn(pair.shifted)(zs) / _special.jv(nu - 1.0, zs)).min())

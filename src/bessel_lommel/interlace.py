@@ -13,9 +13,9 @@ Common zeros (points where the base function vanishes together with the
 higher-order one, equivalently where the polynomial vanishes at a base zero)
 are removed from the base sequence and appear exactly once in the merged one;
 the strict alternation base < merged < base < ... is then verified, on certified
-stage-one intervals (`zeros.Intervals`): only zeros they cannot order, that
-`Pair.clears` cannot clear or that the report prints are finished; no other zero is
-finished or residual-checked.
+stage-one intervals (`zeros.Intervals`): only zeros they cannot order, that the screen
+of `Pair.common_in` (every query over the first K base zeros) cannot clear or that the
+report prints are finished; no other zero is finished or residual-checked.
 
 The module also evaluates the Wronskians W[J_nu, R_{m-1,nu+1} J_{nu+m}] and
 W[J'_nu, R*_{m,nu} J_{nu+m}] both from analytic derivatives and from their
@@ -121,13 +121,17 @@ class Pair:
             )
         return mask
 
-    def clears(self, box, tol: float = COMMON_TOL) -> np.ndarray:
-        """Which base-zero intervals, rows [lo, hi] of `box`, hold no zero that `common` takes: the
-        shifted function h has one nonzero sign and |h| >= 2 tol max(1, |h'(mid)|) at both ends."""
+    def common_in(self, base: Intervals, tol: float = COMMON_TOL) -> np.ndarray:
+        """`common` on a stage-one row `base` (`_zero_stages`), finishing only the zeros a screen
+        keeps: it clears an interval where the shifted function h has one nonzero sign and
+        |h| >= 2 tol max(1, |h'(mid)|) at both ends, as no zero there passes `common`."""
+        box = base.box.reshape(-1, 2)
         h = _special.value_fn(self.shifted)(box)
         with np.errstate(invalid="ignore"):  # NaN (an unbounded interval's midpoint) clears nothing
             dh = np.fmax(1.0, np.abs(_special.derivative_fn(self.shifted)(box.mean(axis=1))))
-            return (np.sign(h[:, 0]) * np.sign(h[:, 1]) > 0.0) & (np.abs(h).min(axis=1) >= 2.0 * tol * dh)
+            mask = ~((np.sign(h[:, 0]) * np.sign(h[:, 1]) > 0.0) & (np.abs(h).min(axis=1) >= 2.0 * tol * dh))
+        mask[mask] = self.common(base.finish(np.flatnonzero(mask)), tol)
+        return mask
 
 
 class Source(enum.Enum):
@@ -224,16 +228,13 @@ def detect_common_zeros(
     alpha: float = 0.0,
 ) -> CommonZeroSet:
     """Base-function zeros at which the higher-order function also vanishes,
-    among the first K, as decided by `Pair.common`."""
+    among the first K, as decided by `Pair.common_in`."""
     pair = Pair(family, m, nu, alpha)
-    base_list = zeros(pair.base, K)
+    base = _zero_stages([pair.base], K)
     bval = _special.value_fn(pair.base)
     hval = _special.value_fn(pair.shifted)
-    points = tuple(
-        (x, abs(float(bval(x))), abs(float(hval(x))))
-        for x, common in zip(base_list.zeros, pair.common(base_list.zeros, tol))
-        if common
-    )
+    points = tuple((x, abs(float(bval(x))), abs(float(hval(x))))
+                   for x in base.box[0, pair.common_in(base, tol), 0].tolist())
     return CommonZeroSet(family, m, nu, points, tol, alpha)
 
 
@@ -265,13 +266,13 @@ def merged_sequence(
     alpha: float = 0.0,
 ) -> MergedZeros:
     """Ascending merge of the first K higher-order zeros with the polynomial roots,
-    each common zero once, as COMMON_ZERO.  `Pair.common` tests the first K +
+    each common zero once, as COMMON_ZERO.  `Pair.common_in` tests the first K +
     max_common base zeros, which hold every common zero among the shifted ones."""
     pair = Pair(family, m, nu, alpha)
-    base = zeros(pair.base, K + pair.max_common).as_array()
-    common, high = base[pair.common(base)], zeros(pair.shifted, K).as_array()
-    merged, sources = _merged(pair, Intervals(np.stack([high, high], axis=-1)), common)
-    entries = tuple(zip(merged.box[:, 0].tolist(), sources))
+    base = _zero_stages([pair.base], K + pair.max_common)
+    common = base.box[0, pair.common_in(base), 0]
+    merged, sources = _merged(pair, _zero_stages([pair.shifted], K), common)
+    entries = tuple(zip(merged.finish().tolist(), sources))
     return MergedZeros(pair.m, pair.nu, pair.family, entries, pair.alpha)
 
 
@@ -326,17 +327,14 @@ def verify_generalized_interlacing(
 ) -> InterlaceReport:
     """Alternation of the base zeros (common zeros removed) with the merged set.
 
-    Takes each list once, as stage-one intervals; `Pair.common` decides the base zeros that
-    `Pair.clears` does not clear, and only the zeros a verdict prints or cannot order are finished.
+    Takes each list once, as stage-one intervals; `Pair.common_in` finishes and decides the base
+    zeros its screen does not clear, and only the zeros a verdict prints or cannot order are finished.
     """
     pair = Pair(family, m, nu, alpha)
     if K < 3:
         raise DomainError("interlacing verification needs K >= 3")
     base = _zero_stages([pair.base], K)
-    box = base.box[0]
-    common = ~pair.clears(box, tol)
-    base.finish(np.flatnonzero(common))
-    common[common] = pair.common(box[common, 0], tol)
+    box, common = base.box[0], pair.common_in(base, tol)
     middle, sources = _merged(pair, _zero_stages([pair.shifted], K), box[common, 0])
     pattern = "generalized" if common.any() or {*sources} - {Source.HIGHER_ORDER_ZERO} else "classical"
     return _report(pair, pattern, base.take(np.flatnonzero(~common)), middle, tuple(box[common, 0].tolist()))
@@ -347,7 +345,7 @@ def no_consecutive_common_zeros(
 ) -> bool:
     """No two adjacent base zeros are both common zeros."""
     pair = Pair(family, m, nu, alpha)
-    flags = pair.common(zeros(pair.base, K).zeros, tol)
+    flags = pair.common_in(_zero_stages([pair.base], K), tol)
     return not bool((flags[:-1] & flags[1:]).any())
 
 
@@ -418,8 +416,8 @@ def wronskian_series(m: int, nu: float, x: float, N: int) -> WronskianSample:
     summed over the positive zeros j_k of J_{nu+m}, truncated at N with an
     explicit bound on the discarded tail.
     """
-    if nu <= -1.0 or m < 1 or x <= 0.0 or N < 1:
-        raise DomainError("wronskian_series requires nu > -1, m >= 1, x > 0, N >= 1")
+    if nu <= -1.0 or m < 1 or not 0.0 < x < math.inf or N < 1:
+        raise DomainError("wronskian_series requires nu > -1, m >= 1, 0 < x < inf, N >= 1")
     s2 = sum(
         (nu + k + 1.0) * float(_lommel.lommel_eval(k, nu + 1.0, x)) ** 2 for k in range(m)
     )
@@ -433,8 +431,8 @@ def derivative_wronskian_series(m: int, nu: float, x: float, N: int) -> Wronskia
     The series form carries the extra nu/(2x^2) term; at m = 0 it reduces to
     W[J'_nu, J_nu](x) = J_nu^2(x) (nu/x^2 + 2 sum_k (x^2+j_k^2)/(x^2-j_k^2)^2).
     """
-    if x <= 0.0 or N < 1:
-        raise DomainError("derivative_wronskian_series requires x > 0, N >= 1")
+    if not 0.0 < x < math.inf or N < 1:
+        raise DomainError("derivative_wronskian_series requires 0 < x < inf, N >= 1")
     if not (nu > 0.0 and m >= 0) and not (nu == 0.0 and m >= 2):
         raise DomainError("requires nu > 0 with m >= 0, or nu = 0 with m >= 2")
     s2 = sum((nu + k) * float(_lommel.assoc_eval(k, nu, x)) ** 2 for k in range(1, m + 1))
@@ -454,8 +452,8 @@ def partial_fraction_check(nu: float, x: float, N: int) -> PartialFractionResult
     checked per term, and it also lets the discarded tail be estimated
     accurately from asymptotic zero positions.
     """
-    if nu <= -1.0 or x <= 0.0:
-        raise DomainError("partial_fraction_check requires nu > -1, x > 0")
+    if nu <= -1.0 or not 0.0 < x < math.inf:
+        raise DomainError("partial_fraction_check requires nu > -1, 0 < x < inf")
     zl = zeros(FunctionId(Kind.BESSEL_J, nu + 1.0), N)
     zs = zl.as_array()
     near = bool(np.min(np.abs(x - zs)) < 1e-6)

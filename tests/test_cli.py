@@ -346,6 +346,17 @@ def test_wronskian_truncation_flag_and_key_obey_one_rule(tmp_path: Path, capsys,
         assert err == "configuration error: series truncation must be at least 100\n"
 
 
+@pytest.mark.parametrize("deriv", [(), ("--deriv",)], ids=["plain", "deriv"])
+@pytest.mark.parametrize("x", ["nan", "inf"])
+def test_non_finite_wronskian_x_exits_2(capsys, x, deriv):
+    # NaN passed the x > 0 test and printed "x": NaN, not JSON; inf leaked a
+    # RuntimeWarning and then refused the truncation
+    code, out, err = run_cli(capsys, "wronskian", "--m", "3", "--nu", "0.5", "--x", x, "--N", "200", *deriv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domain error: ") and "0 < x < inf" in err
+
+
 def test_lommel_roots_deficit_exits_1(capsys):
     # R_{52,51} has 26 positive roots, of which a search from companion-matrix
     # candidates confirmed 22; the Jacobi matrix gives all 26.  Roots that are not

@@ -103,6 +103,19 @@ def test_order_grid_rejects_grids_that_never_end(nu_from, nu_to, step, match):
         bl.trace_trajectories(5, (nu_from, nu_to), step, k_max=2, l_max=1)
 
 
+def test_order_grid_holds_at_most_10000_orders():
+    # from 0 by 0.125, hi = 1250 gives 10001 orders on the scan and the trace grid
+    with pytest.raises(DomainError, match="exceeds 10000 orders"):
+        C._check_grid(0.0, 1250.0, 0.125)
+    C._check_grid(0.0, 1249.875, 0.125)  # 10000 orders
+
+
+@pytest.mark.parametrize("K", [0, -1])
+def test_rational_order_margin_requires_a_zero(K):
+    with pytest.raises(DomainError, match="K >= 1"):
+        bl.rational_order_margin(5, 2.5, K)
+
+
 def test_root_deficit_raises_on_every_path(monkeypatch):
     # near nu = 50 a search from companion-matrix candidates found fewer roots of
     # R_{m-1,nu+1} than the (m-1)//2 that theory gives (22 of 26 at m = 53), and the

@@ -301,6 +301,22 @@ def test_wronskian_series_reject_empty_truncation(N):
         bl.derivative_wronskian_series(2, 1.0, 3.0, N)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda x: bl.wronskian_series(3, 0.5, x, 200),
+        lambda x: bl.derivative_wronskian_series(2, 1.0, x, 200),
+        lambda x: bl.partial_fraction_check(1.0, x, 50),
+    ],
+    ids=["wronskian", "derivative-wronskian", "partial-fraction"],
+)
+def test_series_checks_reject_non_finite_x(check, x):
+    # NaN failed no x <= 0 test: the partial fractions gave a NaN residual
+    with pytest.raises(DomainError, match="0 < x < inf"):
+        check(x)
+
+
 # --- partial fractions ----------------------------------------------------------
 
 

@@ -1,13 +1,14 @@
-"""Interlacing verdicts decided from stage-one intervals: a verification finishes only the
-zeros that its intervals cannot order, that the common-zero screen cannot clear, or that
-its report prints.
+"""Interlacing verdicts and common-zero queries decided from stage-one intervals: a query
+finishes only the zeros that its intervals cannot order, that the common-zero screen
+(`Pair.common_in`) cannot clear, or that its answer prints.
 
-A report must be bit for bit the one of finishing every zero, so each case below is
+An answer must be bit for bit the one of finishing every zero, so each case below is
 answered twice: as is, and with every stage-one interval widened to the whole line, so
-that no comparison is decided and no base zero is cleared.  Reports are compared as
+that no comparison is decided and no base zero is cleared.  Answers are compared as
 `float.hex`, and an error by its type and message.
 """
 
+import dataclasses
 import importlib
 import math
 import random
@@ -100,6 +101,84 @@ def test_verdicts_match_full_refinement_bitwise(monkeypatch):
     assert len(reports) == len(queries)
     assert sum(a["common_zeros"] != [] for a in reports) >= 2  # NU_STAR_M5 and 47.18...
     assert sum(a["violations"] != [] for a in reports) > 20  # printed triples were compared
+
+
+def _hexed(value):
+    if dataclasses.is_dataclass(value):
+        return _hexed(dataclasses.astuple(value))
+    if isinstance(value, (tuple, list)):
+        return [_hexed(v) for v in value]
+    return value.hex() if isinstance(value, float) else value
+
+
+def test_common_zero_queries_match_full_refinement_bitwise(monkeypatch):
+    queries = []
+    for family, m, nu, K, alpha in _cases():
+        queries += [
+            lambda f=family, m=m, nu=nu, K=K, a=alpha: bl.detect_common_zeros(f, m, nu, K, alpha=a),
+            lambda f=family, m=m, nu=nu, K=K, a=alpha: bl.merged_sequence(f, m, nu, K, alpha=a),
+            lambda f=family, m=m, nu=nu, K=K, a=alpha: bl.no_consecutive_common_zeros(m, nu, K, family=f, alpha=a),
+        ]
+
+    def answers():
+        out = []
+        for q in queries:
+            try:
+                out.append(_hexed(q()))
+            except Exception as exc:  # the same error must come on both paths
+                out.append(f"{type(exc).__name__}: {exc}")
+        return out
+
+    staged = answers()
+    _widened(monkeypatch)
+    assert staged == answers()
+    assert all(not isinstance(a, str) for a in staged)
+    assert sum(bool(a[3]) for a in staged[::3]) >= 2  # NU_STAR_M5 and 47.18... hold common zeros
+
+
+@pytest.mark.parametrize(
+    "query, finished",
+    [
+        (lambda: bl.detect_common_zeros(Family.CYLINDER, 7, 3.3, 60, alpha=0.7), 0),
+        (lambda: bl.no_consecutive_common_zeros(9, 12.5, 60), 0),
+        (lambda: bl.merged_sequence(Family.DERIVATIVE, 6, 4.2, 60), 60),  # the merged list prints
+        (lambda: bl.detect_common_zeros(Family.BESSEL_J, 5, NU_STAR_M5, 20), 1),
+    ],
+    ids=["detect-c", "no-consecutive-j", "merged-jp", "detect-common-zero"],
+)
+def test_common_zero_queries_finish_only_what_the_screen_keeps(monkeypatch, query, finished):
+    work = _finished(monkeypatch)
+    query()
+    assert work["finished"] == finished
+
+
+def _screened_pairs():
+    rng = random.Random(23)
+    for family in Family:
+        for _ in range(10):
+            alpha = rng.uniform(0.0, math.pi) if family is Family.CYLINDER else 0.0
+            yield I.Pair(family, rng.randint(1, 14), rng.uniform(0.05, 30.0), alpha)
+    yield I.Pair(Family.BESSEL_J, 5, NU_STAR_M5)
+
+
+def test_the_screen_never_changes_a_common_zero_answer():
+    # `common_in` clears intervals before `common` sees them; it must clear only zeros that
+    # `common` rejects, whatever the tolerance, so both give one mask or one error
+    def outcome(test):
+        try:
+            return test().tolist()
+        except RuntimeError as exc:
+            return str(exc)
+
+    seen = set()
+    for pair in _screened_pairs():
+        for K in (10, 30, 60, 120):
+            exact = Z.zero_table([pair.base], K)[0]
+            for tol in (1e-8, 1e-3, 0.3):
+                screened = outcome(lambda: pair.common_in(Z._zero_stages([pair.base], K), tol))
+                assert screened == outcome(lambda: pair.common(exact, tol)), (pair, K, tol)
+                seen.add(type(screened))
+    assert seen == {list, str}  # masks, and refusals of a tolerance too loose
 
 
 @pytest.mark.parametrize(

@@ -7,9 +7,13 @@
 given, through `perfbench/worker.execute` with the package imported from the
 given `src/` tree, and writes the answers as JSON, one run per seed, with every
 float spelled as `float.hex`.  A query that raises is recorded as its exception
-type and message, as the benchmark records it.  `diff` compares the two dumps
-seed by seed.  For each run it reports the number of identical answers, or how
-many answers differ and the ops of their queries.  Over the answers that differ
+type and message, as the benchmark records it.  The workload `interlace-api` is
+no benchmark workload: it is a seeded list of `detect_common_zeros`,
+`merged_sequence`, `no_consecutive_common_zeros` and `common_zero_sandwich`
+queries, which no benchmark workload asks, answered through the package itself.
+`diff` compares the two dumps seed by seed.  For each run it reports the
+number of identical answers, or how many answers differ and the ops of their
+queries.  Over the answers that differ
 in their floats only, it prints the largest relative change of each float
 field.  A field keeps a float's index in its own list but drops the indices of
 lists that hold lists or dicts, and the bracketed part of a key: nu* of every
@@ -25,8 +29,10 @@ from __future__ import annotations
 
 import argparse
 import collections
+import functools
 import json
 import math
+import random
 import re
 import sys
 from pathlib import Path
@@ -45,19 +51,59 @@ def _exact(value):
     return value
 
 
+NU_STAR_M5 = 5.619812295723  # J_nu and J_{nu+5} share the zero 26.294110115998
+
+
+def _interlace_api_queries(seed: int) -> list:
+    """Common-zero queries of every family, with K on both sides of 80 (J rows of more zeros
+    come finished from another route), and the m = 5 common zero of J near nu = 5.6198."""
+    rng, queries = random.Random(seed), []
+    cases = [("j", 5, NU_STAR_M5 + d, K, 0.0, 26.294110115998) for d in (0.0, 1e-7) for K in (20, 120)]
+    for i, family in enumerate(("j", "c", "jp") * 4):
+        alpha = rng.uniform(0.0, math.pi) if family == "c" else 0.0
+        m, nu = rng.randint(0 if family == "jp" else 1, 14), rng.uniform(0.05, 30.0)
+        K = rng.randint(20, 80) if i % 2 else rng.randint(81, 150)
+        cases.append((family, m, nu, K, alpha, rng.uniform(2.0, 60.0)))
+    for family, m, nu, K, alpha, zeta in cases:
+        base = {"family": family, "m": m, "nu": nu, "K": K, "alpha": alpha}
+        tol = rng.choice((1e-8, 1e-8, 1e-3))
+        queries += [{"op": "detect_common_zeros", **base, "tol": tol}, {"op": "merged_sequence", **base},
+                    {"op": "no_consecutive_common_zeros", **base, "tol": tol},
+                    {"op": "common_zero_sandwich", **base, "zeta": zeta}]
+    return queries
+
+
+def _interlace_api_answer(bl, q: dict) -> dict:
+    family, m, nu, K, alpha = bl.Family(q["family"]), q["m"], q["nu"], q["K"], q["alpha"]
+    if q["op"] == "detect_common_zeros":
+        return {"points": bl.detect_common_zeros(family, m, nu, K, q["tol"], alpha=alpha).points}
+    if q["op"] == "merged_sequence":
+        entries = bl.merged_sequence(family, m, nu, K, alpha=alpha).entries
+        return {"entries": [(x, source.value) for x, source in entries]}
+    if q["op"] == "no_consecutive_common_zeros":
+        return {"holds": bl.no_consecutive_common_zeros(m, nu, K, q["tol"], family=family, alpha=alpha)}
+    return {"holds": bl.common_zero_sandwich(family, m, nu, q["zeta"], K, alpha=alpha)}
+
+
 def dump(workload: str, seeds, src: str) -> list:
     sys.path[:0] = [str(Path(src).resolve()), str(PERFBENCH)]
-    import worker
-    import workloads
+    if workload == "interlace-api":
+        import bessel_lommel
 
-    mods = worker._modules()
+        generate, execute = _interlace_api_queries, functools.partial(_interlace_api_answer, bessel_lommel)
+    else:
+        import worker
+        import workloads
+
+        generate = lambda seed: workloads.generate(workload, seed)[0]
+        execute = functools.partial(worker.execute, worker._modules())
     runs = []
     for seed in seeds:
-        queries, _ = workloads.generate(workload, seed)
+        queries = generate(seed)
         answers = []
         for q in queries:
             try:
-                answer = worker.execute(mods, q)
+                answer = execute(q)
             except Exception as exc:  # recorded as the benchmark records it
                 answer = {"error": f"{type(exc).__name__}: {exc}"}
             answers.append(_exact(answer))
