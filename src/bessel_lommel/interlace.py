@@ -35,7 +35,7 @@ import numpy as np
 from . import lommel as _lommel
 from . import special as _special
 from .special import DomainError, FunctionId, Kind
-from .zeros import Intervals, _zero_stages, zeros
+from .zeros import _MAX_ZEROS, Intervals, _zero_stages, zeros
 
 
 class Family(enum.Enum):
@@ -241,11 +241,11 @@ def detect_common_zeros(
 def _merged(pair: Pair, high: Intervals, common):
     """The shifted zeros `high` merged with the roots: (intervals, sources), as `_report` takes a
     list.  A common zero with a partner, the shifted zero within 0.5 (zeros lie at least 1 apart),
-    tags it and drops its nearest root; partners are read exact, and so is a shifted zero whose
-    interval holds a root; an equal root follows it."""
+    tags it and drops its nearest root.  A shifted zero is read exact where its interval holds a
+    root, which then follows it if equal, or lies within 1.0 of a common zero, as a partner does."""
     roots, box = pair.poly.roots(), high.box.reshape(-1, 2)
-    inside = ((box[:, :1] <= roots) & (roots <= box[:, 1:])).any(axis=1) | (len(common) > 0)
-    high.finish(np.flatnonzero(inside))
+    at, reach = np.concatenate([roots, common]), np.repeat([0.0, 1.0], [roots.size, len(common)])
+    high.finish(np.flatnonzero(((box[:, :1] - reach <= at) & (at <= box[:, 1:] + reach)).any(axis=1)))
     sources = [Source.HIGHER_ORDER_ZERO] * len(box)
     for c in common:
         partner = np.flatnonzero(np.abs(box[:, 0] - c) <= 0.5)
@@ -276,6 +276,15 @@ def merged_sequence(
     return MergedZeros(pair.m, pair.nu, pair.family, entries, pair.alpha)
 
 
+def _lists(pair: Pair, K: int):
+    """Stage one of the first K base and shifted zeros, (base, shifted), from one `_zero_stages`
+    pass where both are of one kind, as for J and C; the zero cap holds for each list alone."""
+    if pair.base.kind is not pair.shifted.kind or 2 * K > _MAX_ZEROS:
+        return _zero_stages([pair.base], K), _zero_stages([pair.shifted], K)
+    both = _zero_stages([pair.base, pair.shifted], K)
+    return both.take(np.arange(K)), both.take(np.arange(K, 2 * K))
+
+
 def _report(pair: Pair, pattern: str, lower, middle, common: tuple = ()) -> InterlaceReport:
     """Check lower[i] < middle[i] < lower[i+1] as far as both lists reach, each `Intervals`
     around its zeros, in order.  A triple that the intervals do not order is finished in
@@ -292,19 +301,9 @@ def _report(pair: Pair, pattern: str, lower, middle, common: tuple = ()) -> Inte
     violations = [(i + 1, float(low[i, 0]), float(mid[i, 0]), float(low[i + 1, 0]))
                   for i in unsure.tolist() if not (low[i, 0] < mid[i, 0] < low[i + 1, 0])]
     ok = not violations
-    return InterlaceReport(
-        family=pair.family,
-        m=pair.m,
-        nu=pair.nu,
-        pattern=pattern,
-        ok=ok,
-        first_violation=None if ok else violations[0][0],
-        skipped_base_zeros=common,
-        violations=tuple(violations),
-        common_zeros=common,
-        alpha=pair.alpha,
-        checked=n,
-    )
+    return InterlaceReport(family=pair.family, m=pair.m, nu=pair.nu, pattern=pattern, ok=ok,
+                           first_violation=None if ok else violations[0][0], skipped_base_zeros=common,
+                           violations=tuple(violations), common_zeros=common, alpha=pair.alpha, checked=n)
 
 
 def verify_plain_interlacing(
@@ -314,16 +313,11 @@ def verify_plain_interlacing(
     pair = Pair(family, m, nu, alpha)
     if K < 3:
         raise DomainError("interlacing verification needs K >= 3")
-    return _report(pair, "plain", _zero_stages([pair.base], K), _zero_stages([pair.shifted], K))
+    return _report(pair, "plain", *_lists(pair, K))
 
 
 def verify_generalized_interlacing(
-    family: Family,
-    m: int,
-    nu: float,
-    K: int,
-    tol: float = COMMON_TOL,
-    alpha: float = 0.0,
+    family: Family, m: int, nu: float, K: int, tol: float = COMMON_TOL, alpha: float = 0.0
 ) -> InterlaceReport:
     """Alternation of the base zeros (common zeros removed) with the merged set.
 
@@ -333,9 +327,9 @@ def verify_generalized_interlacing(
     pair = Pair(family, m, nu, alpha)
     if K < 3:
         raise DomainError("interlacing verification needs K >= 3")
-    base = _zero_stages([pair.base], K)
-    box, common = base.box[0], pair.common_in(base, tol)
-    middle, sources = _merged(pair, _zero_stages([pair.shifted], K), box[common, 0])
+    base, high = _lists(pair, K)
+    box, common = base.box.reshape(-1, 2), pair.common_in(base, tol)
+    middle, sources = _merged(pair, high, box[common, 0])
     pattern = "generalized" if common.any() or {*sources} - {Source.HIGHER_ORDER_ZERO} else "classical"
     return _report(pair, pattern, base.take(np.flatnonzero(~common)), middle, tuple(box[common, 0].tolist()))
 
@@ -452,8 +446,8 @@ def partial_fraction_check(nu: float, x: float, N: int) -> PartialFractionResult
     checked per term, and it also lets the discarded tail be estimated
     accurately from asymptotic zero positions.
     """
-    if nu <= -1.0 or not 0.0 < x < math.inf:
-        raise DomainError("partial_fraction_check requires nu > -1, 0 < x < inf")
+    if nu <= -1.0 or not 0.0 < x < math.inf or N < 1:
+        raise DomainError("partial_fraction_check requires nu > -1, 0 < x < inf, N >= 1")
     zl = zeros(FunctionId(Kind.BESSEL_J, nu + 1.0), N)
     zs = zl.as_array()
     near = bool(np.min(np.abs(x - zs)) < 1e-6)

@@ -9,12 +9,11 @@ replays by arithmetic the bisection steps whose direction an estimate of the roo
 interval provably holds the final zero.  Stage two evaluates only where the outcome
 is not known yet, and the zeros are bit for bit those of evaluating every step.
 `zero_table` scans all orders of a grid in one vectorized pass, each on its own
-grid, and refines the brackets together from f at their ends as the scan left it,
-with the bits of a one-order call.  Stage one is always `Intervals` (`_scan`), certified
-[lo, hi] boxes that stage two finishes in place, cell by cell: `zeros()` finishes every
-cell, and a caller of `_zero_stages` only the zeros it reads.  Large-index runs of J_nu
-zeros switch to asymptotic initial guesses, verified by sign changes and residuals;
-`zeros()` and `_zero_stages` take such finished rows from one helper (`_finished`).
+grid, with the bits of a one-order call.  Stage one (`_zero_stages`) gives `Intervals`,
+certified [lo, hi] boxes that stage two finishes in place where read: `zeros()` and
+`zero_table` finish every cell.  A J_nu run of over 80 zeros keeps a scanned head and
+takes its tail exact by Newton steps from McMahon's guesses (`_bulk`), checked by signs
+and residuals before any head zero is finished.
 
 dj/dnu is computed by three independent routes (finite differences of the
 zero, the squared-Lommel-polynomial series, and the K_0 integral) and the
@@ -23,6 +22,7 @@ routes are cross-checked against each other.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -68,7 +68,7 @@ class OrderDerivative:
 
 
 _PHASE_STEPS = 8  # phase steps that estimate each root; with none the estimate is the chord root
-_REPLAY_MARGIN = 1e-12  # relative distance from the estimate beyond which a step is certain
+_REPLAY_MARGIN = 1e-14  # relative distance from the estimate beyond which a step is certain
 
 
 def _margin(x):
@@ -181,13 +181,12 @@ def _mcmahon_j(nu: float, ks: np.ndarray) -> np.ndarray:
     mu = 4.0 * nu * nu
     beta = (ks + 0.5 * nu - 0.25) * math.pi
     b8 = 8.0 * beta
-    guess = (
+    return (
         beta
         - (mu - 1.0) / b8
         - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * b8**3)
         - 32.0 * (mu - 1.0) * (83.0 * mu * mu - 982.0 * mu + 3779.0) / (15.0 * b8**5)
     )
-    return guess
 
 
 def _newton(f, fp, x, count: int, step):
@@ -231,55 +230,15 @@ _MAX_ZEROS = 1_000_000  # most zeros one query may ask for, over all its orders
 _POSITIVE_NEAR_0 = {Kind.BESSEL_J: -1.0, Kind.BESSEL_J_PRIME: math.ulp(0.0), Kind.CYLINDER: 0.0}
 
 
-def _check_domain(fids, K: int) -> None:
-    """The domain of the first K zeros of each fid, which `zeros()` and `_zero_stages` share."""
-    if K < 0:
-        raise DomainError("zeros requires K >= 0")
-    for fid in fids:
-        if fid.kind is Kind.BESSEL_J and fid.order <= -1.0:
-            raise DomainError("zeros of J_nu require nu > -1")
-        if fid.kind is Kind.BESSEL_J_PRIME and fid.order < 0.0:
-            raise DomainError("zeros of J'_nu require nu >= 0")
-    if len({(fid.kind, fid.alpha) for fid in fids}) > 1:
-        raise DomainError("zero_table requires one kind and one alpha")
-    if len(fids) * K > _MAX_ZEROS:
-        raise DomainError(
-            f"the query would tabulate {K:.7g} zeros at each of {len(fids)} orders; "
-            f"at most {_MAX_ZEROS} in all"
-        )
-
-
-def _finished(fid: FunctionId, K: int, tolerance: float):
-    """The first K >= 1 zeros of `fid`, finished at `tolerance`, and how: (xs, method).  A J_nu
-    run of over `_BULK_SWITCH` zeros scans a head and takes its tail by Newton steps from
-    McMahon's guesses, validated and held to the residual contract, or else scans it all."""
-    head_n = max(12, int(math.ceil(max(fid.order, 0.0))) + 4)
-    if fid.kind is Kind.BESSEL_J and K > max(_BULK_SWITCH, head_n):
-        f, fp = _special.value_fn(fid), _special.derivative_fn(fid)
-        head = _scan([fid], head_n, tolerance).finish()
-        ks = np.arange(head_n + 1, K + 1, dtype=float)
-        tail, tail_f, tail_fp = _newton(
-            lambda _, x: f(x), lambda _, x: fp(x), _mcmahon_j(fid.order, ks), 4,
-            lambda _, x, v, d: x - v / d,
-        )
-        xs = np.concatenate([head, tail])
-        try:
-            _validate_run(f, xs)
-            if (np.abs(tail_f) > tolerance * np.maximum(1.0, np.abs(tail_fp))).any():
-                raise ConvergenceError("asymptotic-seeded Newton missed the residual contract")
-            return xs, "scan+bisect head, asymptotic-seeded Newton tail"
-        except ConvergenceError:
-            pass
-    return _scan([fid], K, tolerance).finish(), "scan + bisection/Newton"
-
-
 def zeros(fid: FunctionId, K: int, tolerance: float = ZERO_TOL) -> ZeroList:
-    """First K positive zeros of the function identified by `fid`."""
-    _check_domain([fid], K)
+    """First K positive zeros of the function identified by `fid`: `_zero_stages`, finished whole."""
+    stages = _zero_stages([fid], K, tolerance)
     if K == 0:
         return ZeroList(fid, (), (), "none requested", tolerance)
-    xs, method = _finished(fid, K, tolerance)
+    tail = stages.box[0, -1, 0] == stages.box[0, -1, 1]  # stage one leaves no scanned zero exact
+    xs = stages.finish()
     res = np.abs(_special.value_fn(fid)(xs))
+    method = "scan+bisect head, asymptotic-seeded Newton tail" if tail else "scan + bisection/Newton"
     return ZeroList(fid, tuple(xs.tolist()), tuple(res.tolist()), method, tolerance)
 
 
@@ -312,18 +271,68 @@ class Intervals:
         """The flat cells `rows`, an index array, as intervals that finish through these."""
         return Intervals(self.box.reshape(-1, 2)[rows], lambda cells: self.finish(rows[cells]))
 
+    @staticmethod
+    def stack(rows) -> Intervals:
+        """One-row tables of K cells as one table, whose cell i * K + k finishes as cell k of rows[i]
+        (`finish` passes its cells ascending)."""
+        K = rows[0].box.shape[1]
+        parts = lambda cells: [r.finish(cells[cells // K == i] % K) for i, r in enumerate(rows)]
+        return Intervals(np.concatenate([r.box for r in rows]), lambda cells: np.concatenate(parts(cells)),
+                         lambda xs: [r.validate(x[None]) for r, x in zip(rows, xs)])
 
-def _zero_stages(fids, K: int) -> Intervals:
-    """Stage one of `zero_table(fids, K)` (`_scan`), validated on interval midpoints: zero k of
-    row i lies in `box[i, k]`, and stage two finishes the flat cells i * K + k.  J_nu rows of
-    over `_BULK_SWITCH` zeros come exact from `_finished`, as `zeros()` gives them."""
-    _check_domain(fids, K)
-    if K == 0 or not fids or (fids[0].kind is Kind.BESSEL_J and K > _BULK_SWITCH):
-        table = np.array([_finished(fid, K, ZERO_TOL)[0] for fid in fids if K]).reshape(len(fids), K)
-        return Intervals(np.stack([table, table], axis=-1))
-    stages = _scan(fids, K)
-    stages.validate((stages.box[..., 0] + stages.box[..., 1]) / 2)
-    return stages
+
+def _bulk(fid: FunctionId, K: int, tolerance: float) -> Intervals | None:
+    """Stage one of the first K zeros of J_nu past a head of max(12, ceil(nu) + 4): the scanned
+    head as stage-one intervals, the tail exact, by Newton steps from McMahon's guesses.  None
+    where K is no longer than the head, or the row fails `_validate_run` on the head's midpoints
+    and the tail, or the tail the residual contract."""
+    head_n = max(12, int(math.ceil(max(fid.order, 0.0))) + 4)
+    if K <= head_n:
+        return None
+    f, fp = _special.value_fn(fid), _special.derivative_fn(fid)
+    head = _scan([fid], head_n, tolerance)
+    guess, newton_step = _mcmahon_j(fid.order, np.arange(head_n + 1, K + 1.0)), lambda _, x, v, d: x - v / d
+    tail, tail_f, tail_fp = _newton(lambda _, x: f(x), lambda _, x: fp(x), guess, 4, newton_step)
+    row = Intervals(np.concatenate([head.box[0], np.stack([tail, tail], axis=-1)])[None],
+                    head.stage_two, head.validate)
+    if (np.abs(tail_f) <= tolerance * np.maximum(1.0, np.abs(tail_fp))).all():
+        with contextlib.suppress(ConvergenceError):
+            row.validate(row.box.mean(axis=-1))
+            return row
+    return None
+
+
+def _zero_stages(fids, K: int, tolerance: float = ZERO_TOL) -> Intervals:
+    """Stage one of `zero_table(fids, K)`, validated on interval midpoints: zero k of row i lies
+    in `box[i, k]`, and stage two finishes the flat cells i * K + k at `tolerance`.  Rows are
+    scanned together (`_scan`), but a J_nu row of over `_BULK_SWITCH` zeros is a scanned head
+    and an exact McMahon tail (`_bulk`) where that route holds, a row of its own (`stack`).
+    Every zero query checks its domain here, and the cap on the zeros it asks for."""
+    if K < 0:
+        raise DomainError("zeros requires K >= 0")
+    for fid in fids:
+        if fid.kind is Kind.BESSEL_J and fid.order <= -1.0:
+            raise DomainError("zeros of J_nu require nu > -1")
+        if fid.kind is Kind.BESSEL_J_PRIME and fid.order < 0.0:
+            raise DomainError("zeros of J'_nu require nu >= 0")
+    if len({(fid.kind, fid.alpha) for fid in fids}) > 1:
+        raise DomainError("zero_table requires one kind and one alpha")
+    if len(fids) * K > _MAX_ZEROS:
+        raise DomainError(
+            f"the query would tabulate {K:.7g} zeros at each of {len(fids)} orders; "
+            f"at most {_MAX_ZEROS} in all"
+        )
+    if K == 0 or not fids:
+        return Intervals(np.empty((len(fids), K, 2)))
+
+    def scanned(fids):
+        stages = _scan(fids, K, tolerance)
+        stages.validate(stages.box.mean(axis=-1))
+        return stages
+
+    if fids[0].kind is Kind.BESSEL_J and K > _BULK_SWITCH:
+        return Intervals.stack([_bulk(fid, K, tolerance) or scanned([fid]) for fid in fids])
+    return scanned(fids)
 
 
 def _scan_start(value, kind: Kind, nus):
@@ -465,14 +474,11 @@ def dj_dnu(nu: float, k: int) -> OrderDerivative:
         raise DomainError("dj_dnu requires nu > 0 and k >= 1")
     fids = [FunctionId(Kind.BESSEL_J, v) for v in (nu, nu + 1e-4, nu - 1e-4)]
     j, up, down = _zero_stages(fids, k).finish([k - 1, 2 * k - 1, 3 * k - 1]).tolist()
-    fd = (up - down) / 2e-4
-    series = series_derivative(nu, j)
-    watson = watson_derivative(nu, j)
-    values = (fd, series, watson)
+    values = ((up - down) / 2e-4, series_derivative(nu, j), watson_derivative(nu, j))  # fd, series, watson
     if min(values) <= 0.0:
         raise ConvergenceError(f"order derivative is not positive: {values}")
     spread = (max(values) - min(values)) / max(values)  # the largest pairwise gap, all positive
-    return OrderDerivative(nu, k, fd, series, watson, spread)
+    return OrderDerivative(nu, k, *values, spread)
 
 
 def cylinder_zero_monotonicity(alpha: float, nu_values, k: int) -> bool:

@@ -108,8 +108,8 @@ def test_report_requires_enough_zeros():
 
 
 def test_generalized_verification_computes_each_list_once(monkeypatch):
-    # base zeros and shifted zeros take one stage-one pass each, the polynomial
-    # roots are solved once, and detecting common zeros reuses the base zeros
+    # base zeros and shifted zeros, both of J, take one stage-one pass together, the
+    # polynomial roots are solved once, and detecting common zeros reuses the base zeros
     import bessel_lommel.interlace as interlace_mod
     import bessel_lommel.lommel as lommel_mod
 
@@ -126,7 +126,7 @@ def test_generalized_verification_computes_each_list_once(monkeypatch):
     monkeypatch.setattr(lommel_mod, "root_positions", counted("roots", lommel_mod.root_positions))
     rep = bl.verify_generalized_interlacing(Family.BESSEL_J, 5, NU_STAR_M5, 20)
     assert rep.ok and len(rep.common_zeros) == 1
-    assert calls == {"stage_one": 2, "roots": 1}
+    assert calls == {"stage_one": 1, "roots": 1}
 
 
 @pytest.mark.parametrize("K", [20, 40])
@@ -299,6 +299,8 @@ def test_wronskian_series_reject_empty_truncation(N):
         bl.wronskian_series(3, 0.5, 4.0, N)
     with pytest.raises(DomainError, match="N >= 1"):
         bl.derivative_wronskian_series(2, 1.0, 3.0, N)
+    with pytest.raises(DomainError, match="N >= 1"):
+        bl.partial_fraction_check(1.0, 4.0, N)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])

@@ -76,14 +76,23 @@ def _queries():
 
 
 def _finished(monkeypatch):
-    """Count the zeros that stage two finishes."""
-    work = {"finished": 0}
-    finish = Z._finish_zeros
+    """Count the stage work: the brackets of stage one and those it leaves at replay step 0, and
+    the zeros that stage two finishes with the bisection steps it takes (48 - steps each)."""
+    work = {"brackets": 0, "step_0": 0, "finished": 0, "bisections": 0}
+    bracket, finish = Z._bracket_zeros, Z._finish_zeros
+
+    def bracketed(*args):
+        state = bracket(*args)
+        work["brackets"] += state[4].size
+        work["step_0"] += int((state[4] == 0).sum())
+        return state
 
     def finished(value, derivative, orders, state, tolerance):
         work["finished"] += orders.size
+        work["bisections"] += int((48 - state[4]).sum())
         return finish(value, derivative, orders, state, tolerance)
 
+    monkeypatch.setattr(Z, "_bracket_zeros", bracketed)
     monkeypatch.setattr(Z, "_finish_zeros", finished)
     return work
 
@@ -101,6 +110,28 @@ def test_verdicts_match_full_refinement_bitwise(monkeypatch):
     assert len(reports) == len(queries)
     assert sum(a["common_zeros"] != [] for a in reports) >= 2  # NU_STAR_M5 and 47.18...
     assert sum(a["violations"] != [] for a in reports) > 20  # printed triples were compared
+
+
+def test_replay_leaves_few_brackets_to_full_bisection(monkeypatch):
+    # the replay margin: a replay that stops far from the estimate leaves stage two many steps,
+    # and one too close to it fails its sign certificate and starts over from the scan bracket
+    work = _finished(monkeypatch)
+    for query in _queries():
+        _answer(query)
+    assert work["brackets"] == 6314
+    assert work["step_0"] <= 8  # the C cases near alpha = pi
+    assert work["bisections"] <= 11 * work["finished"]
+
+
+def test_bulk_verdict_finishes_less_than_its_heads(monkeypatch):
+    # J_10 and J_15 at K = 120 scan heads of 14 and 19 zeros and take the rest exact
+    query = lambda: bl.verify_generalized_interlacing(Family.BESSEL_J, 5, 10.0, 120)
+    work = _finished(monkeypatch)
+    staged, few = _answer(query), work["finished"]
+    assert few < 14 + 19
+    _widened(monkeypatch)
+    assert staged == _answer(query)
+    assert work["finished"] - few == 14 + 19  # the widened pass finished every head zero
 
 
 def _hexed(value):
@@ -192,11 +223,11 @@ def test_verdict_without_violation_finishes_few_zeros(monkeypatch, family, m, nu
     assert work["finished"] < 0.1 * 2 * 60
 
 
-def test_common_zero_finishes_the_shifted_list(monkeypatch):
+def test_common_zero_finishes_only_its_partner(monkeypatch):
     work = _finished(monkeypatch)
     rep = bl.verify_generalized_interlacing(Family.BESSEL_J, 5, NU_STAR_M5, 20)
     assert rep.ok and len(rep.common_zeros) == 1
-    assert 20 < work["finished"] < 2 * 20  # the shifted list and the common base zero
+    assert work["finished"] == 2  # the common base zero and its shifted partner
 
 
 def test_a_root_inside_a_shifted_interval_finishes_that_zero():

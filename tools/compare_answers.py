@@ -7,10 +7,14 @@
 given, through `perfbench/worker.execute` with the package imported from the
 given `src/` tree, and writes the answers as JSON, one run per seed, with every
 float spelled as `float.hex`.  A query that raises is recorded as its exception
-type and message, as the benchmark records it.  The workload `interlace-api` is
-no benchmark workload: it is a seeded list of `detect_common_zeros`,
-`merged_sequence`, `no_consecutive_common_zeros` and `common_zero_sandwich`
-queries, which no benchmark workload asks, answered through the package itself.
+type and message, as the benchmark records it.  Each run also records the zero
+finder's work: the stage-one brackets, those left at replay step 0, the zeros
+stage two finishes and its bisection steps (48 - steps each), counted by
+wrapping `zeros._bracket_zeros` and `zeros._finish_zeros`; a tree without them
+records none.  The workload `interlace-api` is no benchmark workload: it is a
+seeded list of `detect_common_zeros`, `merged_sequence`,
+`no_consecutive_common_zeros` and `common_zero_sandwich` queries, which no
+benchmark workload asks, answered through the package itself.
 `diff` compares the two dumps seed by seed.  For each run it reports the
 number of identical answers, or how many answers differ and the ops of their
 queries.  Over the answers that differ
@@ -19,7 +23,8 @@ field.  A field keeps a float's index in its own list but drops the indices of
 lists that hold lists or dicts, and the bracketed part of a key: nu* of every
 solution `[l, k, nu*, x*]` is one field, `solutions[][2]`, and the x of every
 `rho[...]` curve sample `[nu, x]` is another, `curves.rho[][1]`.  It shows the first answer that differs in more than its floats in full,
-and it exits 1 if any run differs.
+and it exits 1 if any run differs.  It then prints each work count of the run
+as base -> head ("absent" where a dump has none), which never sets the exit code.
 
 To check that a change keeps every answer, dump the parent commit's `src/`
 (from a `git clone` or `git archive` of it) and the working tree's, then diff.
@@ -85,6 +90,30 @@ def _interlace_api_answer(bl, q: dict) -> dict:
     return {"holds": bl.common_zero_sandwich(family, m, nu, q["zeta"], K, alpha=alpha)}
 
 
+def _count_work(zeros) -> dict | None:
+    """Wrap the zero finder's two stages to count their work into the dict returned, or None
+    where the tree has no such stages."""
+    bracket, finish = getattr(zeros, "_bracket_zeros", None), getattr(zeros, "_finish_zeros", None)
+    if bracket is None or finish is None:
+        return None
+    work = dict.fromkeys(("stage-one brackets", "brackets left at step 0", "finished zeros",
+                          "stage-two bisection steps"), 0)
+
+    def bracketed(*args):
+        steps = (state := bracket(*args))[4]
+        work["stage-one brackets"] += steps.size
+        work["brackets left at step 0"] += int((steps == 0).sum())
+        return state
+
+    def finished(value, derivative, orders, state, tolerance):
+        work["finished zeros"] += orders.size
+        work["stage-two bisection steps"] += int((48 - state[4]).sum())
+        return finish(value, derivative, orders, state, tolerance)
+
+    zeros._bracket_zeros, zeros._finish_zeros = bracketed, finished
+    return work
+
+
 def dump(workload: str, seeds, src: str) -> list:
     sys.path[:0] = [str(Path(src).resolve()), str(PERFBENCH)]
     if workload == "interlace-api":
@@ -97,9 +126,10 @@ def dump(workload: str, seeds, src: str) -> list:
 
         generate = lambda seed: workloads.generate(workload, seed)[0]
         execute = functools.partial(worker.execute, worker._modules())
-    runs = []
+    work, runs = _count_work(sys.modules["bessel_lommel.zeros"]), []
     for seed in seeds:
         queries = generate(seed)
+        before = dict(work or {})
         answers = []
         for q in queries:
             try:
@@ -107,7 +137,8 @@ def dump(workload: str, seeds, src: str) -> list:
             except Exception as exc:  # recorded as the benchmark records it
                 answer = {"error": f"{type(exc).__name__}: {exc}"}
             answers.append(_exact(answer))
-        runs.append({"workload": workload, "seed": seed, "queries": queries, "answers": answers})
+        runs.append({"workload": workload, "seed": seed, "queries": queries, "answers": answers,
+                     "work": work and {key: n - before[key] for key, n in work.items()}})
     return runs
 
 
@@ -136,6 +167,14 @@ def _relative_change(a: float, b: float) -> float:
 
 
 def _diff_run(old: dict, new: dict) -> int:
+    status = _diff_answers(old, new)
+    work_a, work_b = old.get("work") or {}, new.get("work") or {}
+    for key in dict.fromkeys([*work_a, *work_b]):
+        print(f"  {key}: {work_a.get(key, 'absent')} -> {work_b.get(key, 'absent')}")
+    return status
+
+
+def _diff_answers(old: dict, new: dict) -> int:
     run = f"{old['workload']} seed {old['seed']}"
     if (old["workload"], old["seed"]) != (new["workload"], new["seed"]):
         print(f"different runs: {run} vs {new['workload']} seed {new['seed']}")
