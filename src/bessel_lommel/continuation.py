@@ -304,6 +304,8 @@ def trace_trajectories(
     """Zero and root trajectories in the (nu, x)-plane, with crossings annotated."""
     lo, hi = nu_range
     _check_grid(lo, hi, step)
+    if l_max < 0:
+        raise DomainError(f"a trace requires l_max >= 0; got {l_max}")
     nus = [lo]
     while nus[-1] + step <= hi + 1e-9 * step:
         nus.append(min(nus[-1] + step, hi))

@@ -106,7 +106,9 @@ class Pair:
     def common(self, xs, tol: float = COMMON_TOL) -> np.ndarray:
         """The one common-zero test: which base zeros `xs` give both the polynomial and
         the shifted function a scaled residual |g(x)| / max(1, |g'(x)|) below `tol`.
-        More than `max_common` hits is a RuntimeError."""
+        More than `max_common` hits is a RuntimeError; `tol` must satisfy 0 < tol < inf."""
+        if not 0.0 < tol < math.inf:
+            raise DomainError(f"the common-zero test requires 0 < tol < inf; got {tol}")
         xs = np.asarray(xs, dtype=float)
         with np.errstate(invalid="ignore"):  # inf / inf is nan, which fails the test
             mask = np.abs(self.poly(xs)) / np.fmax(1.0, np.abs(self.poly.prime(xs))) < tol
@@ -125,6 +127,8 @@ class Pair:
         """`common` on a stage-one row `base` (`_zero_stages`), finishing only the zeros a screen
         keeps: it clears an interval where the shifted function h has one nonzero sign and
         |h| >= 2 tol max(1, |h'(mid)|) at both ends, as no zero there passes `common`."""
+        if not 0.0 < tol < math.inf:  # before the screen finishes any zero
+            raise DomainError(f"the common-zero test requires 0 < tol < inf; got {tol}")
         box = base.box.reshape(-1, 2)
         h = _special.value_fn(self.shifted)(box)
         with np.errstate(invalid="ignore"):  # NaN (an unbounded interval's midpoint) clears nothing
@@ -354,6 +358,8 @@ def common_zero_sandwich(
     the base zero nearest zeta, must pass `Pair.common`.
     """
     pair = Pair(family, m, nu, alpha)
+    if K < 2:  # before any zero is sought
+        raise DomainError("K too small to bracket the common zero")
     base = zeros(pair.base, K).as_array()
     high = zeros(pair.shifted, K).as_array()
     s = int(np.argmin(np.abs(base - zeta)))

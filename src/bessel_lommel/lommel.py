@@ -94,10 +94,10 @@ class LommelCoefficients:
 
 @dataclass(frozen=True)
 class EtaRoot:
-    """Large-order slope limits eta of the Lommel roots of R_{n,nu+1}.
+    """Large-order slope limits eta of the positive roots of R_{n,nu+1}, ascending.
 
-    Every eta satisfies the terminating hypergeometric polynomial equation
-    2F1[(1-n)/2, -n/2; -n; eta^2] = 0 and lies in (1, inf).
+    They are the n // 2 roots eta > 1 of 2F1[(1-n)/2, -n/2; -n; eta^2] = (eta/2)^n U_n(1/eta)
+    (U_n the Chebyshev polynomial of the second kind), so eta_l = sec(l pi / (n+1)).
     """
 
     n: int
@@ -281,8 +281,8 @@ def lommel_wronskian_identity(m: int, nu: float, x: float):
     """
     if m < 1:
         raise ValueError("lommel_wronskian_identity requires m >= 1")
-    if x <= 0.0:
-        raise ValueError("lommel_wronskian_identity requires x > 0")
+    if not 0.0 < x < math.inf:
+        raise DomainError("lommel_wronskian_identity requires 0 < x < inf")
 
     w = lommel_eval(m - 2, nu + 1.0, x) * lommel_prime(m - 1, nu + 1.0, x) - lommel_prime(
         m - 2, nu + 1.0, x
@@ -303,69 +303,26 @@ def lommel_wronskian_identity(m: int, nu: float, x: float):
     return plain, assoc
 
 
-def slope_polynomial_coeffs(n: int) -> list:
-    """Coefficients of the terminating 2F1[(1-n)/2, -n/2; -n; z] in powers of z."""
-    a, b, c = (1.0 - n) / 2.0, -n / 2.0, float(-n)
-    coeffs = []
-    term = 1.0
-    k = 0
-    while True:
-        coeffs.append(term)
-        num = (a + k) * (b + k)
-        if num == 0.0:
-            break
-        term = term * num / ((c + k) * (k + 1.0))
-        k += 1
-        if k > n:
-            break
-    return coeffs
-
-
 def eta_limit(n: int) -> EtaRoot:
-    """Limiting slopes (as the order grows) of the positive roots of R_{n,nu+1}."""
+    """Limiting slopes (as the order grows) of the positive roots of R_{n,nu+1}, in closed
+    form: sec(l pi / (n+1)) for l = 1..n // 2, written as 1 / sin so that the steep slopes
+    keep full precision.  More than `zeros._MAX_ZEROS` slopes is a DomainError."""
+    from .zeros import _MAX_ZEROS
+
     if n < 2:
         raise ValueError("eta_limit requires n >= 2")
-    coeffs = slope_polynomial_coeffs(n)
-    poly = np.polynomial.Polynomial(coeffs)
-    dpoly = poly.deriv()
-    etas = []
-    for z in poly.roots():
-        if abs(z.imag) > 1e-10 * (1.0 + abs(z)) or z.real <= 1.0:
-            continue
-        zr = z.real
-        for _ in range(50):
-            d = dpoly(zr)
-            if d == 0.0:
-                break
-            step = poly(zr) / d
-            zr -= step
-            if abs(step) < 1e-15 * (1.0 + abs(zr)):
-                break
-        etas.append(math.sqrt(zr))
-    etas.sort()
-    return EtaRoot(n, tuple(etas))
+    if n // 2 > _MAX_ZEROS:
+        raise DomainError(f"eta_limit({n}) would give {n // 2} slopes; at most {_MAX_ZEROS}")
+    return EtaRoot(n, tuple(1.0 / math.sin((n + 1 - 2 * l) * math.pi / (2 * (n + 1)))
+                            for l in range(1, n // 2 + 1)))
 
 
 def pochhammer_limit(m: int) -> float:
-    """Large-order limit of R_{m,nu+1}(rho)/2^m along a unit-slope root path.
-
-    Equals the slope polynomial evaluated at z = 1, which telescopes to a
-    ratio of Pochhammer products: ((-(m+1)/2)_(m/2)) / ((-m)_(m/2)) for even
-    m and ((-m/2)_((m-1)/2)) / ((-m)_((m-1)/2)) for odd m.
-    """
+    """Large-order limit of R_{m,nu+1}(rho)/2^m along a unit-slope root path: the slope
+    polynomial at z = 1, U_m(1) / 2^m = (m + 1) / 2^m (0.0 once that underflows, m > 1085)."""
     if m < 0:
         raise ValueError("pochhammer_limit requires m >= 0")
-    if m == 0:
-        return 1.0
-    if m % 2 == 0:
-        j = m // 2
-        num = _rising_product(-(m + 1) / 2.0, j)
-        den = _rising_product(float(-m), j)
-    else:
-        j = (m - 1) // 2
-        num = _rising_product(-m / 2.0, j)
-        den = _rising_product(float(-m), j)
-    return num / den
+    return math.ldexp(m + 1.0, -m)
 
 
 def values_at_bessel_zero(nu: float, j: float, count: int) -> np.ndarray:

@@ -94,3 +94,31 @@ def shifted_sign_at_zero(nu, m: int, x0) -> int:
     z = mp.findroot(lambda x: mp.besselj(nu, x), mp.mpf(x0))
     assert abs(z - x0) < 1e-8, (nu, x0, z)
     return int(mp.sign(mp.besselj(nu + m, z)))
+
+
+def slope_polynomial_coeffs(n: int) -> list:
+    """Coefficients of the terminating 2F1[(1-n)/2, -n/2; -n; z] in powers of z."""
+    a, b, c = (1.0 - n) / 2.0, -n / 2.0, float(-n)
+    coeffs = []
+    term = 1.0
+    k = 0
+    while True:
+        coeffs.append(term)
+        num = (a + k) * (b + k)
+        if num == 0.0:
+            break
+        term = term * num / ((c + k) * (k + 1.0))
+        k += 1
+        if k > n:
+            break
+    return coeffs
+
+
+def slope_polynomial_mp(n: int) -> list:
+    """`slope_polynomial_coeffs` at the working precision."""
+    a, b, c = mp.mpf(1 - n) / 2, mp.mpf(-n) / 2, mp.mpf(-n)
+    coeffs = [mp.mpf(1)]
+    while (a + len(coeffs) - 1) * (b + len(coeffs) - 1) != 0:
+        k = len(coeffs) - 1
+        coeffs.append(coeffs[-1] * (a + k) * (b + k) / ((c + k) * (k + 1)))
+    return coeffs

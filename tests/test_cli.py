@@ -163,6 +163,29 @@ def test_eta_csv(capsys):
     assert float(lines[1].split(",")[1]) == pytest.approx(math.sqrt(5.0) - 1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n, count", [(60, 30), (70, 35)])
+def test_eta_prints_every_slope(capsys, n, count):
+    # a float root search printed 14 of 30 slopes at n = 60 and raised at n = 70
+    code, out, _ = run_cli(capsys, "eta", "--n", str(n))
+    assert code == 0
+    assert len(json.loads(out)["roots"]) == count
+
+
+def test_eta_past_the_zero_cap_exits_2(capsys):
+    code, out, err = run_cli(capsys, "eta", "--n", "2000002")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domain error: ") and "at most 1000000" in err
+
+
+def test_trajectory_negative_l_max_exits_2(capsys):
+    code, out, err = run_cli(capsys, "trajectory", "--m", "5", "--nu-from", "5", "--nu-to", "5.25",
+                             "--step", "0.125", "--l-max", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domain error: ") and "l_max >= 0" in err
+
+
 def test_lommel_roots_flag(capsys):
     code, out, _ = run_cli(capsys, "lommel", "--m", "2", "--nu", "2.125", "--roots")
     assert code == 0

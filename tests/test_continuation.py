@@ -110,6 +110,12 @@ def test_order_grid_holds_at_most_10000_orders():
     C._check_grid(0.0, 1249.875, 0.125)  # 10000 orders
 
 
+def test_trace_refuses_a_negative_root_count():
+    # l_max < 0 dropped every root curve without a word
+    with pytest.raises(DomainError, match="l_max >= 0"):
+        bl.trace_trajectories(5, (5.0, 5.25), 0.125, k_max=2, l_max=-1)
+
+
 @pytest.mark.parametrize("K", [0, -1])
 def test_rational_order_margin_requires_a_zero(K):
     with pytest.raises(DomainError, match="K >= 1"):

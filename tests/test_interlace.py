@@ -158,12 +158,29 @@ def test_common_zero_sandwich_at_crossing():
     assert bl.common_zero_sandwich(Family.BESSEL_J, 5, NU_STAR_M5, 26.294110115998)
 
 
-@pytest.mark.parametrize("K", [5, 6])
+@pytest.mark.parametrize("K", [0, 5, 6])
 def test_sandwich_with_too_few_zeros_is_a_domain_error(K):
     # zeta is base zero 6; at K = 5 the base zero nearest it is zero 5, which failed the
     # common-zero test first, so a true common zero was refused as "not a common zero"
     with pytest.raises(DomainError, match="K too small"):
         bl.common_zero_sandwich(Family.BESSEL_J, 5, NU_STAR_M5, 26.294110115997597, K=K)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8, math.inf])
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda tol: bl.verify_generalized_interlacing(Family.BESSEL_J, 5, 5.619812295723271, 10, tol),
+        lambda tol: bl.detect_common_zeros(Family.BESSEL_J, 5, 5.619812295723271, 10, tol),
+        lambda tol: bl.no_consecutive_common_zeros(5, 5.619812295723271, 10, tol),
+    ],
+    ids=["verify", "detect", "no-consecutive"],
+)
+def test_common_zero_tolerance_must_be_finite_and_positive(query, tol):
+    # NaN, 0 and -1e-8 lost the common zero at the README crossing (2 violations), inf
+    # took every base zero for one ("too loose")
+    with pytest.raises(DomainError, match="0 < tol < inf"):
+        query(tol)
 
 
 # orders within about 1e-6 of NU_STAR_M5, where a root of R_{4,nu+1} and a zero
@@ -310,8 +327,9 @@ def test_wronskian_series_reject_empty_truncation(N):
         lambda x: bl.wronskian_series(3, 0.5, x, 200),
         lambda x: bl.derivative_wronskian_series(2, 1.0, x, 200),
         lambda x: bl.partial_fraction_check(1.0, x, 50),
+        lambda x: bl.lommel_wronskian_identity(3, 0.5, x),
     ],
-    ids=["wronskian", "derivative-wronskian", "partial-fraction"],
+    ids=["wronskian", "derivative-wronskian", "partial-fraction", "lommel-identity"],
 )
 def test_series_checks_reject_non_finite_x(check, x):
     # NaN failed no x <= 0 test: the partial fractions gave a NaN residual

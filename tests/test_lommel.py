@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,13 +15,17 @@ from bessel_lommel.lommel import (
     lommel_eval,
     lommel_prime,
     root_positions,
-    slope_polynomial_coeffs,
     values_at_bessel_zero,
 )
 from bessel_lommel.special import DomainError
 from bessel_lommel.zeros import ConvergenceError
 
-from oracles import gamma_ratio_lommel, lommel_sign_changes
+from oracles import (
+    gamma_ratio_lommel,
+    lommel_sign_changes,
+    slope_polynomial_coeffs,
+    slope_polynomial_mp,
+)
 
 NU_GRID = (-0.5, 0.0, 1.125, 2.7, 5.619, 10.0)
 X_GRID = np.arange(0.5, 50.0 + 0.25, 0.5)
@@ -247,6 +252,36 @@ def test_pochhammer_limits():
     assert bl.pochhammer_limit(0) == 1.0
     assert bl.pochhammer_limit(2) == pytest.approx(0.75, abs=1e-15)
     assert bl.pochhammer_limit(3) == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 20, 33, 40, 42, 50, 55, 70, 200, 1000])
+def test_eta_limits_match_mpmath(n):
+    # a float root search lost digits from n = 20 and roots from n = 42, and raised at
+    # 31 orders from n = 55 to 200
+    etas = bl.eta_limit(n).roots
+    assert len(etas) == n // 2 and list(etas) == sorted(etas)
+    with mp.workdps(50):
+        coeffs = slope_polynomial_mp(n)
+        for l, eta in enumerate(etas, 1):
+            sec = mp.sec(l * mp.pi / (n + 1))
+            assert abs(eta - sec) / sec < 4e-16
+            z = mp.mpf(eta) ** 2
+            terms = [c * z**k for k, c in enumerate(coeffs)]
+            assert abs(mp.fsum(terms)) / mp.fsum(map(abs, terms)) < 1e-14
+
+
+def test_pochhammer_limits_are_closed_form():
+    # Pochhammer products were an ulp off from m = 30, 0.0 from m = 270 and NaN from m = 342
+    for m in range(1101):
+        assert bl.pochhammer_limit(m) == math.ldexp(m + 1.0, -m)
+    with mp.workdps(50):
+        for m in range(61):
+            assert bl.pochhammer_limit(m) == float(mp.hyp2f1(mp.mpf(1 - m) / 2, mp.mpf(-m) / 2, -m, 1))
+
+
+def test_eta_limit_refuses_more_slopes_than_the_zero_cap():
+    with pytest.raises(DomainError, match="at most 1000000"):
+        bl.eta_limit(2_000_002)
 
 
 def test_backward_recurrence_matches_direct_at_zero():
