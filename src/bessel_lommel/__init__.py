@@ -14,7 +14,6 @@ from .special import (
     cylinder_prime,
     evaluate,
     modified_k0,
-    watson_integrand,
 )
 from .lommel import (
     EtaRoot,

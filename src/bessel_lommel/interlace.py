@@ -10,7 +10,7 @@ the compensating Lommel-type polynomial:
     base J'_nu  ->  merge zeros of J_{nu+m} with roots of R*_{m,nu}.
 
 Common zeros (points where the base function vanishes together with the
-higher-order one, equivalently where the polynomial vanishes at a base zero)
+higher-order one, decided from the higher-order function alone by `Pair.common`)
 are removed from the base sequence and appear exactly once in the merged one;
 the strict alternation base < merged < base < ... is then verified, on certified
 stage-one intervals (`zeros.Intervals`): only zeros they cannot order, that the screen
@@ -62,9 +62,11 @@ class Pair:
 
     The shifted function vanishes at a base zero exactly where the polynomial
     does, so the common zeros are base zeros that are polynomial roots; there
-    are at most `max_common` of them.  Construction checks the family's
-    domain; `poly` is built on first use and kept.  `alpha` is the cylinder
-    angle; the other families reject a nonzero one.
+    are at most `max_common` of them.  `common` decides them from the shifted
+    function alone: the polynomial's value at a float zero carries no sign.
+    Construction checks the family's domain; `poly`, whose roots the merge
+    takes, is built on first use and kept.  `alpha` is the cylinder angle; the
+    other families reject a nonzero one.
     """
 
     family: Family
@@ -101,21 +103,27 @@ class Pair:
     @property
     def max_common(self) -> int:
         """Bound on the number of common zeros: half the polynomial's degree, rounded down."""
-        return self.poly.m // 2
+        return self.m // 2 if self.family is Family.DERIVATIVE else (self.m - 1) // 2
+
+    @property
+    def floor(self) -> float:
+        """No common zero lies at or below it: every zero of J_mu lies above mu >= 0 (Watson
+        §15.3), so a J or J' base zero at or below nu + m is none; C_{nu+m} has no such bound."""
+        return 0.0 if self.family is Family.CYLINDER else self.nu + self.m
 
     def common(self, xs, tol: float = COMMON_TOL) -> np.ndarray:
-        """The one common-zero test: which base zeros `xs` give both the polynomial and
-        the shifted function a scaled residual |g(x)| / max(1, |g'(x)|) below `tol`.
-        More than `max_common` hits is a RuntimeError; `tol` must satisfy 0 < tol < inf."""
+        """The one common-zero test: which base zeros `xs` lie above `floor` and give the shifted
+        function h a Newton step |h(x) / h'(x)| below tol min(1, x), read from h alone.  More than
+        `max_common` hits is a RuntimeError; `tol` must satisfy 0 < tol < inf."""
         if not 0.0 < tol < math.inf:
             raise DomainError(f"the common-zero test requires 0 < tol < inf; got {tol}")
         xs = np.asarray(xs, dtype=float)
-        with np.errstate(invalid="ignore"):  # inf / inf is nan, which fails the test
-            mask = np.abs(self.poly(xs)) / np.fmax(1.0, np.abs(self.poly.prime(xs))) < tol
-            near = xs[mask]  # the shifted function is evaluated at polynomial roots only
+        mask = xs > self.floor  # h is evaluated above the floor only
+        near = xs[mask]
+        with np.errstate(invalid="ignore"):  # 0 * inf is nan, which fails the test
             hval = _special.value_fn(self.shifted)(near)
             hder = _special.derivative_fn(self.shifted)(near)
-            mask[mask] = np.abs(hval) / np.fmax(1.0, np.abs(hder)) < tol
+            mask[mask] = np.abs(hval) < tol * np.fmin(1.0, near) * np.abs(hder)
         if mask.sum() > self.max_common:
             raise RuntimeError(
                 f"detected {mask.sum()} common zeros but at most {self.max_common} are possible; "
@@ -125,15 +133,19 @@ class Pair:
 
     def common_in(self, base: Intervals, tol: float = COMMON_TOL) -> np.ndarray:
         """`common` on a stage-one row `base` (`_zero_stages`), finishing only the zeros a screen
-        keeps: it clears an interval where the shifted function h has one nonzero sign and
-        |h| >= 2 tol max(1, |h'(mid)|) at both ends, as no zero there passes `common`."""
+        keeps: it clears an interval [lo, hi] that reaches no higher than `floor`, or where the
+        shifted function h has one nonzero sign and |h| >= 2 tol min(1, hi) |h'(mid)| at both
+        ends, as no zero there passes `common`."""
         if not 0.0 < tol < math.inf:  # before the screen finishes any zero
             raise DomainError(f"the common-zero test requires 0 < tol < inf; got {tol}")
         box = base.box.reshape(-1, 2)
-        h = _special.value_fn(self.shifted)(box)
+        mask = box[:, 1] > self.floor  # h is evaluated above the floor only
+        above = box[mask]
+        h = _special.value_fn(self.shifted)(above)
         with np.errstate(invalid="ignore"):  # NaN (an unbounded interval's midpoint) clears nothing
-            dh = np.fmax(1.0, np.abs(_special.derivative_fn(self.shifted)(box.mean(axis=1))))
-            mask = ~((np.sign(h[:, 0]) * np.sign(h[:, 1]) > 0.0) & (np.abs(h).min(axis=1) >= 2.0 * tol * dh))
+            dh = np.abs(_special.derivative_fn(self.shifted)(above.mean(axis=1)))
+            bound = 2.0 * tol * np.fmin(1.0, above[:, 1]) * dh
+            mask[mask] = ~((np.sign(h[:, 0]) * np.sign(h[:, 1]) > 0.0) & (np.abs(h).min(axis=1) >= bound))
         mask[mask] = self.common(base.finish(np.flatnonzero(mask)), tol)
         return mask
 

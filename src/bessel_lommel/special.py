@@ -254,18 +254,6 @@ def modified_k0(x: float) -> EvalResult:
     return EvalResult(value, est)
 
 
-def watson_integrand(u, c: float, nu: float):
-    """Integrand of the order-derivative integral after substituting u = sinh t.
-
-    Equals K_0(2 c u) (u + sqrt(1 + u^2))^(-2 nu) / sqrt(1 + u^2); integrating
-    over u in (0, inf) and multiplying by 2c gives the derivative of a cylinder
-    zero c with respect to the order nu.
-    """
-    u = np.asarray(u, dtype=float)
-    root = np.sqrt(1.0 + u * u)
-    return _sp.k0(2.0 * c * u) * (u + root) ** (-2.0 * nu) / root
-
-
 def evaluate(fid: FunctionId, x: float) -> EvalResult:
     """Evaluate any supported FunctionId at x."""
     if fid.kind is Kind.BESSEL_J:

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as _sp
 
 from . import lommel as _lommel
 from . import special as _special
@@ -433,35 +434,34 @@ def _scan(fids, K: int, tolerance: float = ZERO_TOL) -> Intervals:
     return Intervals(np.stack(state[:2], axis=-1).reshape(-1, K, 2), stage_two, validate)
 
 
+_EXP_SINH = np.arange(-96, 65) / 16.0  # s = -6, -6 + 1/16, ..., 4: the nodes of the Watson rule
+
+
 def watson_derivative(nu: float, c: float) -> float:
-    """dc/dnu for a cylinder-function zero c, by the K_0 integral.
-
-    `scipy.integrate` is imported on first use, so the first call in a
-    process (and so the first `dj_dnu`) pays that import.
-    """
-    from scipy.integrate import quad
-
-    u_split = 1.0 / (2.0 * c)
-    u_max = 30.0 / c
-    g = lambda u: _special.watson_integrand(u, c, nu)
-    v1, _ = quad(g, 0.0, u_split, limit=200)
-    v2, _ = quad(g, u_split, u_max, limit=200)
-    return 2.0 * c * (v1 + v2)
+    """dc/dnu = 2c int_0^inf K_0(2c sinh t) e^(-2 nu t) dt (DLMF 10.21(iii)) at a zero c of a
+    cylinder function of order nu, by one fixed exp-sinh rule (Takahasi & Mori 1974) scaled
+    by c: 161 nodes t = (4/c) exp((pi/2) sinh s) at the steps s of `_EXP_SINH`, with weights
+    (pi/32) cosh(s) t."""
+    t = (4.0 / c) * np.exp(0.5 * math.pi * np.sinh(_EXP_SINH))
+    with np.errstate(over="ignore"):  # sinh of the far nodes is inf, where K_0 is 0
+        k0 = _sp.k0(2.0 * c * np.sinh(t))
+    return float(2.0 * c * np.sum((math.pi / 32.0) * np.cosh(_EXP_SINH) * t * k0 * np.exp(-2.0 * nu * t)))
 
 
 def series_derivative(nu: float, j: float) -> float:
     """dj/dnu at the zero j of J_nu via (2/j) sum_k R_{k,nu+1}(j)^2.
 
-    Terms decay superexponentially once k exceeds j; summation stops when a
-    term is negligible against the partial sum and k has safely passed nu.
+    The terms oscillate while k < j - nu and decay superexponentially past an Airy tail about
+    j^(1/3) wide beyond k = j; summation stops at a term negligible against the partial sum
+    once k is past both nu + 20 and j - nu.
     """
-    count = int(math.ceil(j) + max(40.0, nu + 40.0))
+    count = int(math.ceil(j + 8.0 * j ** (1.0 / 3.0)) + max(40.0, nu + 40.0))
     vals = _lommel.values_at_bessel_zero(nu, j, count)
     total = 0.0
     for k, r in enumerate(vals):
         term = r * r
         total += term
-        if k > nu + 20 and term < 1e-14 * total:
+        if k > max(nu + 20, j - nu) and term < 1e-14 * total:
             break
     else:
         raise ConvergenceError("Lommel series for dj/dnu did not converge")

@@ -122,3 +122,26 @@ def slope_polynomial_mp(n: int) -> list:
         k = len(coeffs) - 1
         coeffs.append(coeffs[-1] * (a + k) * (b + k) / ((c + k) * (k + 1)))
     return coeffs
+
+
+def newton_step_ratio(family: str, mu, alpha, x, tol):
+    """|h(x) / h'(x)| / (tol min(1, x)) at 50 digits, for h = J_mu, or C_mu of angle alpha
+    (`family` "c"), at the float x: below 1 the common-zero test takes x."""
+    with mp.workdps(50):
+        mu, alpha, x = mp.mpf(mu), mp.mpf(alpha), mp.mpf(x)
+
+        def h(d):
+            if family != "c":
+                return mp.besselj(mu, x, d)
+            return mp.cos(alpha) * mp.besselj(mu, x, d) - mp.sin(alpha) * mp.bessely(mu, x, d)
+
+        return abs(h(0) / h(1)) / (mp.mpf(tol) * min(1, x))
+
+
+def order_derivative(nu, x0):
+    """(dj/dnu, j) at the zero j of J_nu that `mp.findroot` reaches from x0, at 40 digits:
+    -(dJ/dnu) / (dJ/dx) there."""
+    with mp.workdps(40):
+        nu = mp.mpf(nu)
+        j = mp.findroot(lambda x: mp.besselj(nu, x), mp.mpf(x0))
+        return float(-mp.diff(lambda v: mp.besselj(v, j), nu) / mp.besselj(nu, j, 1)), float(j)

@@ -6,8 +6,7 @@ numpy-array polynomial kernels `_poly_eval`/`_poly_prime`, the Lommel root
 refinement through them with a fixed 80-step bisection, a zero scan that
 evaluates whole 256-point batches, and a zero refinement that evaluates every
 bracket at each of its 48 bisection steps, 3 Newton steps and residual, with
-the 4 Newton steps of the McMahon-seeded tail evaluated at every zero, and a
-common-zero test that evaluates one point at a time.
+the 4 Newton steps of the McMahon-seeded tail evaluated at every zero.
 Results are compared as `float.hex`, so any change of the last bit fails.
 """
 
@@ -20,7 +19,6 @@ import pytest
 from oracles import lommel_sign_changes
 
 from bessel_lommel import lommel as L
-from bessel_lommel import interlace as I
 from bessel_lommel import special as S
 from bessel_lommel.lommel import PolyKind
 from bessel_lommel.special import FunctionId, Kind
@@ -448,44 +446,3 @@ def test_phase_estimate_at_the_extremes_matches_reference_bitwise(monkeypatch):
         steps.clear()
         assert Z.zeros(fid, 3).zeros[0] == pytest.approx(zero, rel=1e-13), fid
         assert steps[0][0] > 0, fid  # the replay certified, no full bisection
-
-
-def reference_common(pair, xs, tol=1e-8):
-    hval = S.value_fn(pair.shifted)
-    hder = S.derivative_fn(pair.shifted)
-    mask = np.asarray(
-        [
-            abs(pair.poly(x)) / max(1.0, abs(pair.poly.prime(x))) < tol
-            and abs(float(hval(x))) / max(1.0, abs(float(hder(x)))) < tol
-            for x in xs
-        ],
-        dtype=bool,
-    )
-    if mask.sum() > pair.max_common:
-        raise RuntimeError(
-            f"detected {mask.sum()} common zeros but at most {pair.max_common} are possible; "
-            "the tolerance is too loose"
-        )
-    return mask
-
-
-def _outcome(common, pair, xs, tol):
-    try:
-        return common(pair, xs, tol).tolist()
-    except RuntimeError as exc:
-        return str(exc)
-
-
-def test_common_matches_pointwise_reference():
-    rng = random.Random(5)
-    pairs = [I.Pair(I.Family.BESSEL_J, 5, 5.619812295723)]  # a common zero near x = 19.6
-    for family in I.Family:
-        for _ in range(4):
-            alpha = rng.uniform(0.0, 3.0) if family is I.Family.CYLINDER else 0.0
-            pairs.append(I.Pair(family, rng.randint(1, 12), rng.uniform(0.5, 20.0), alpha))
-    for pair in pairs:
-        xs = Z.zeros(pair.base, 30).zeros
-        for tol in (1e-8, 1e-3, 0.3):
-            want = _outcome(reference_common, pair, xs, tol)
-            assert _outcome(I.Pair.common, pair, xs, tol) == want, (pair, tol)
-    assert True in _outcome(I.Pair.common, pairs[0], Z.zeros(pairs[0].base, 30).zeros, 1e-8)

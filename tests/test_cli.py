@@ -74,9 +74,10 @@ def test_json_round_trip_is_lossless(capsys):
 
 def test_interlace_with_every_base_zero_common_exits_1(capsys):
     # a tolerance loose enough to take all three base zeros for common zeros used to
-    # leave no triple to check and still print "ok": true with "checked": -1
+    # leave no triple to check and still print "ok": true with "checked": -1; all three
+    # lie above nu + m = 107, below which no base zero is common
     code, out, err = run_cli(
-        capsys, "interlace", "--family", "j", "--m", "20", "--nu", "3", "--k", "3", "--common-tol", "1e9"
+        capsys, "interlace", "--family", "j", "--m", "7", "--nu", "100", "--k", "3", "--common-tol", "1e9"
     )
     assert code == 1
     assert out == ""

@@ -1,12 +1,18 @@
+import importlib
 import math
+import random
 
+import mpmath as mp
 import numpy as np
 import pytest
+from oracles import newton_step_ratio
 
 import bessel_lommel as bl
 from bessel_lommel.interlace import Family, Source
 from bessel_lommel.lommel import lommel_prime, root_positions
 from bessel_lommel.special import DomainError, jv, jvp
+
+I = importlib.import_module("bessel_lommel.interlace")
 
 # crossing order for m = 5 inside (5.619, 5.62), frozen from the continuation solver
 NU_STAR_M5 = 5.619812295723
@@ -207,6 +213,94 @@ def test_merged_common_zeros_match_detected_ones(d):
     ms = bl.merged_sequence(Family.BESSEL_J, 5, nu, 20)
     tagged = sum(src is Source.COMMON_ZERO for _, src in ms.entries)
     assert tagged == len(bl.detect_common_zeros(Family.BESSEL_J, 5, nu, 20))
+
+
+def _oracle_common(pair, xs, tol):
+    """The 50-digit decision at the float zeros xs: True, False, or None within 1e-6 relative
+    of its threshold.  A J or J' zero at or below nu + m is none, since every zero of J_mu lies
+    above mu; any other is common where the Newton step of the shifted function is below
+    tol min(1, x)."""
+    out = []
+    for x in xs:
+        margin = math.inf
+        if pair.family is not Family.CYLINDER:
+            margin = (mp.mpf(x) - (mp.mpf(pair.nu) + pair.m)) / (mp.mpf(pair.nu) + pair.m)
+        if abs(margin) < 1e-6:
+            out.append(None)
+        elif margin < 0:
+            out.append(False)
+        else:
+            ratio = newton_step_ratio(pair.family.value, mp.mpf(pair.nu) + pair.m, pair.alpha, x, tol)
+            out.append(None if abs(ratio - 1) < 1e-6 else bool(ratio < 1))
+    return out
+
+
+def test_common_matches_an_mpmath_decision():
+    rng = random.Random(5)
+    pairs = [I.Pair(Family.BESSEL_J, 5, 5.619812295723)]  # a common zero near x = 19.6
+    for family in Family:
+        for _ in range(4):
+            alpha = rng.uniform(0.0, 3.0) if family is Family.CYLINDER else 0.0
+            pairs.append(I.Pair(family, rng.randint(1, 12), rng.uniform(0.5, 20.0), alpha))
+    refused = 0
+    for pair in pairs:
+        xs = bl.zeros(pair.base, 30).zeros
+        for tol in (1e-8, 1e-3, 0.3):
+            want = _oracle_common(pair, xs, tol)
+            sure = np.array([w is not None for w in want])
+            fewest, most = want.count(True), len(want) - want.count(False)  # hits, as None falls
+            if fewest > pair.max_common:
+                refused += 1
+                with pytest.raises(RuntimeError, match="the tolerance is too loose"):
+                    pair.common(xs, tol)
+            elif most <= pair.max_common:
+                assert pair.common(xs, tol)[sure].tolist() == [w for w in want if w is not None], (pair, tol)
+    assert refused > 0
+    assert pairs[0].common(bl.zeros(pairs[0].base, 30).zeros, 1e-8).any()  # the README crossing
+
+
+@pytest.mark.parametrize(
+    "family, m, nu, K, alpha",
+    [
+        (Family.DERIVATIVE, 16, 6.884285355813399, 45, 0.0),
+        (Family.BESSEL_J, 41, 37.83519152288572, 44, 0.0),
+        (Family.CYLINDER, 5, 0.05521188020766843, 32, 3.123333086065461),  # first zero at 6.7e-10
+    ],
+    ids=["jp-16", "j-41", "c-5"],
+)
+def test_verdict_takes_no_false_common_zero(family, m, nu, K, alpha):
+    # the absolute test took a base zero where J_{nu+m} (or x itself) was merely tiny for a
+    # common zero, and every later triple then read as a violation
+    rep = bl.verify_generalized_interlacing(family, m, nu, K, alpha=alpha)
+    assert rep.ok and rep.common_zeros == ()
+
+
+def test_large_gap_verdict_takes_no_common_zero_below_the_order():
+    # the shifted function J_{105.18} has no zero below 105.18; base zero 54.18 was taken for
+    # one and gave 57 violations.  What remains are ties of a root and a base zero.
+    rep = bl.verify_generalized_interlacing(Family.BESSEL_J, 58, 47.18447763344619, 59)
+    assert rep.common_zeros == ()
+    for _, low, mid, high in rep.violations:
+        assert min(abs(mid - low) / low, abs(high - mid) / mid) < 1e-15
+
+
+def test_detect_takes_no_common_zero_below_the_order():
+    # base zero 12.78 of J'_nu lies below nu + m = 22.96, where J_{nu+m} has no zero
+    assert len(bl.detect_common_zeros(Family.DERIVATIVE, 12, 10.959452931977372, 57, tol=1e-3)) == 0
+
+
+def test_common_zero_at_a_large_order_is_taken():
+    # R_{199,1001}'s power-basis coefficients overflow; the test reads J_{nu+m} alone
+    assert I.Pair(Family.BESSEL_J, 200, 1000.0093606470992).common([3741.502874070015]).tolist() == [True]
+
+
+def test_common_zero_decisions_build_no_polynomial(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a common-zero decision built a Lommel polynomial")
+
+    monkeypatch.setattr(I._lommel, "lommel_coefficients", refused)
+    assert len(bl.detect_common_zeros(Family.BESSEL_J, 5, NU_STAR_M5, 20)) == 1
+    assert bl.no_consecutive_common_zeros(5, NU_STAR_M5, 20, family=Family.DERIVATIVE)
 
 
 def test_derivative_family_breakdown_at_shift_two():

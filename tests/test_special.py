@@ -161,17 +161,6 @@ def test_accuracy_contract_fixture():
                 assert rel <= 1e-11, (kind, nu, x, rel)
 
 
-def test_watson_integrand_shape():
-    u = np.array([1e-4, 0.1, 1.0, 5.0])
-    vals = bl.watson_integrand(u, 2.4, 1.5)
-    assert np.all(vals > 0.0)
-    assert np.all(np.diff(vals) < 0.0)
-    # at nu = 0 the weight factor drops out
-    assert bl.watson_integrand(1.0, 1.0, 0.0) == pytest.approx(
-        bl.modified_k0(2.0).value / math.sqrt(2.0), rel=1e-12
-    )
-
-
 def test_domain_errors():
     with pytest.raises(DomainError):
         bl.bessel_j(0.5, -1.0)

@@ -190,6 +190,10 @@ def _screened_pairs():
             alpha = rng.uniform(0.0, math.pi) if family is Family.CYLINDER else 0.0
             yield I.Pair(family, rng.randint(1, 14), rng.uniform(0.05, 30.0), alpha)
     yield I.Pair(Family.BESSEL_J, 5, NU_STAR_M5)
+    # false common zeros of the absolute test: below nu + m, and at x = 6.7e-10
+    yield I.Pair(Family.BESSEL_J, 58, 47.18447763344619)
+    yield I.Pair(Family.DERIVATIVE, 16, 6.884285355813399)
+    yield I.Pair(Family.CYLINDER, 5, 0.05521188020766843, 3.123333086065461)
 
 
 def test_the_screen_never_changes_a_common_zero_answer():

@@ -1,8 +1,13 @@
 import importlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import order_derivative
 
 import bessel_lommel as bl
 from bessel_lommel.special import DomainError, jvp
@@ -163,6 +168,49 @@ def test_watson_derivative_matches_finite_difference():
     up = bl.zeros(jfid(nu + h), 2).zeros[1]
     dn = bl.zeros(jfid(nu - h), 2).zeros[1]
     assert watson_derivative(nu, j) == pytest.approx((up - dn) / (2.0 * h), rel=1e-6)
+
+
+# (nu, k): dc/dnu runs from 1.0 to 1.57 over zeros c from 2.40 (nu = 1e-6) to 62,836
+WATSON_CASES = [(1e-6, 1), (0.05, 1), (0.5, 1), (0.5, 300), (1.0, 1), (1.0, 20), (3.0, 1), (3.0, 5),
+                (3.0, 200), (3.0, 1000), (3.0, 20000), (10.0, 2), (25.0, 5), (40.0, 20), (100.0, 50),
+                (0.5, 5000), (200.0, 3), (1000.0, 1)]
+
+
+def _start(nu, k):
+    """A start for `order_derivative` within the basin of the k-th zero: the zero found, or
+    McMahon's leading term where k is large against nu."""
+    return bl.zeros(jfid(nu), k).zeros[-1] if k <= 50 else (k + nu / 2 - 0.25) * math.pi
+
+
+@pytest.mark.parametrize("nu, k", WATSON_CASES)
+def test_watson_route_matches_mpmath(nu, k):
+    want, j = order_derivative(nu, _start(nu, k))
+    assert ZEROS.watson_derivative(nu, j) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_dj_dnu_imports_no_quadrature():
+    # scipy.integrate took about 0.2 s in the first dj_dnu of each process
+    probe = "import sys, bessel_lommel as bl; bl.dj_dnu(1.0, 1); print('scipy.integrate' in sys.modules)"
+    src = str(Path(bl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("nu, k", [(3.0, 200), (0.5, 300), (3.0, 1000)])
+def test_dj_dnu_at_large_zeros_matches_mpmath(nu, k):
+    # the series refused these ("did not converge"): it stopped short of the Airy tail past k = j
+    want, _ = order_derivative(nu, _start(nu, k))
+    od = bl.dj_dnu(nu, k)
+    for value in (od.value_fd, od.value_series, od.value_watson):
+        assert value == pytest.approx(want, rel=1e-9, abs=0.0)  # the finite difference sets the bound
+
+
+@pytest.mark.parametrize("nu, k", [(3.0, 1000), (0.5, 5000), (3.0, 20000), (0.5, 100000)])
+def test_series_route_at_large_zeros_matches_mpmath(nu, k):
+    # at (3, 20000) the series stopped at a tiny term among the oscillating ones and gave 0.2845
+    want, j = order_derivative(nu, _start(nu, k))
+    assert ZEROS.series_derivative(nu, j) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def _hex(values):

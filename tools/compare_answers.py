@@ -24,7 +24,9 @@ lists that hold lists or dicts, and the bracketed part of a key: nu* of every
 solution `[l, k, nu*, x*]` is one field, `solutions[][2]`, and the x of every
 `rho[...]` curve sample `[nu, x]` is another, `curves.rho[][1]`.  It shows the first answer that differs in more than its floats in full,
 and it exits 1 if any run differs.  It then prints each work count of the run
-as base -> head ("absent" where a dump has none), which never sets the exit code.
+as base -> head ("absent" where a dump has none), and for a run that asks `verify`
+queries, how many of those answers the benchmark's checker (`perfbench/checks.py`)
+rejects, as `verdicts rejected: base -> head`; neither sets the exit code.
 
 To check that a change keeps every answer, dump the parent commit's `src/`
 (from a `git clone` or `git archive` of it) and the working tree's, then diff.
@@ -166,11 +168,26 @@ def _relative_change(a: float, b: float) -> float:
     return abs(b - a) / abs(a) if a and math.isfinite(a) else math.inf
 
 
+def _rejected(run: dict) -> int | None:
+    """How many `verify` answers of a run the benchmark's checker rejects (an error, or a verdict
+    `Checker._check_verify` refuses), or None where the run asks none."""
+    sys.path.insert(0, str(PERFBENCH))
+    from checks import Checker
+
+    verdicts = [(q, a) for q, a in zip(run["queries"], run["answers"]) if q["op"] == "verify"]
+    if not verdicts:
+        return None
+    return sum("error" in a or Checker._check_verify(None, q, a, None) is not None for q, a in verdicts)
+
+
 def _diff_run(old: dict, new: dict) -> int:
     status = _diff_answers(old, new)
     work_a, work_b = old.get("work") or {}, new.get("work") or {}
     for key in dict.fromkeys([*work_a, *work_b]):
         print(f"  {key}: {work_a.get(key, 'absent')} -> {work_b.get(key, 'absent')}")
+    rejected = _rejected(old), _rejected(new)
+    if rejected != (None, None):
+        print(f"  verdicts rejected: {rejected[0]} -> {rejected[1]}")
     return status
 
 
